@@ -183,6 +183,9 @@ def bench_batched_prediction(repeats: int, batch: int) -> Dict[str, object]:
         legacy = _time(
             lambda: [model.predict([schedule]) for schedule in schedules], repeats
         )
+        reference = np.concatenate([model.predict([schedule]) for schedule in schedules])
+    if not np.array_equal(model.predict(schedules), reference):
+        raise AssertionError("batched predictions differ from the per-row reference")
     return _stage("batched_prediction", fast, len(schedules), "schedules/s", legacy)
 
 

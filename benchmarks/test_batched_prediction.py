@@ -4,7 +4,8 @@ The measurement pipeline scores hundreds of candidate schedules per episode;
 this bench demonstrates (and guards) the acceptance criterion that one
 batched ``ScheduleCostModel.predict`` call over >= 64 schedules is measurably
 faster than looping ``predict`` per schedule, thanks to the vectorised
-feature extractor and the array-flattened regression trees.
+feature extractor and the packed-ensemble tree descent (which the per-row
+calls share, so the scores agree bit for bit).
 """
 
 from __future__ import annotations
@@ -67,10 +68,10 @@ def test_batched_prediction_faster_than_loop(trained_model_and_batch, print_repo
         f"speedup      : {speedup:8.1f}x",
     )
 
-    # Identical scores either way...
+    # Bit-identical scores either way...
     batched_scores = model.predict(batch)
     loop_scores = np.concatenate([model.predict([s]) for s in batch])
-    assert np.allclose(batched_scores, loop_scores)
+    assert np.array_equal(batched_scores, loop_scores)
     # ...but the batched call must be measurably (>= 2x) faster.
     assert batched_time * 2 < loop_time
 

@@ -6,6 +6,14 @@ ensemble, with shrinkage and row subsampling.  It is intentionally small —
 the cost model only needs to rank a few hundred schedules per round — but the
 training loop, early stopping and feature subsampling mirror the structure of
 the real thing so the ablation experiments behave comparably.
+
+At the end of :meth:`GradientBoostedTrees.fit` the whole ensemble is packed
+into one set of flat node arrays (:class:`~repro.costmodel.tree.PackedTrees`,
+leaf values pre-multiplied by the learning rate), so :meth:`predict` routes
+a batch through every tree at once in ``max_depth`` vectorised steps rather
+than one tree at a time.  The per-tree contributions are then added in tree
+order with a sequential ``cumsum``, which keeps the result bit-identical to
+accumulating ``learning_rate * tree.predict(X)`` tree by tree.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.costmodel.tree import RegressionTree
+from repro.costmodel.tree import PackedTrees, RegressionTree
 
 __all__ = ["GradientBoostedTrees"]
 
@@ -64,12 +72,17 @@ class GradientBoostedTrees:
         self.seed = seed
         self._trees: List[RegressionTree] = []
         self._base_prediction = 0.0
-        self._fitted = False
+        self._packed: Optional[PackedTrees] = None
 
     # ------------------------------------------------------------------ #
     @property
     def n_trees(self) -> int:
         return len(self._trees)
+
+    @property
+    def n_features(self) -> Optional[int]:
+        """Width of the feature matrix the model was fitted on (``None`` before)."""
+        return None if self._packed is None else self._packed.n_features
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedTrees":
         X = np.asarray(X, dtype=np.float64)
@@ -120,16 +133,14 @@ class GradientBoostedTrees:
                 ):
                     break
 
-        self._fitted = True
+        self._packed = PackedTrees.pack(self._trees, scale=self.learning_rate)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if not self._fitted:
+        if self._packed is None:
             raise RuntimeError("model is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError("X must be 2-dimensional")
-        out = np.full(X.shape[0], self._base_prediction, dtype=np.float64)
-        for tree in self._trees:
-            out += self.learning_rate * tree.predict(X)
-        return out
+        contributions = self._packed.leaf_values(X)
+        base = np.full((contributions.shape[0], 1), self._base_prediction, dtype=np.float64)
+        # Sequential accumulation in tree order: ``sum`` would reorder the
+        # additions and drift from the tree-by-tree result in the last ulp.
+        return np.cumsum(np.hstack([base, contributions]), axis=1)[:, -1]

@@ -5,37 +5,87 @@ the squared-error criterion; split search is vectorised with NumPy prefix
 sums over the sorted feature values, so fitting stays fast for the few
 thousand samples collected during a tuning run.
 
-Prediction is vectorised as well: after fitting, the tree is flattened into
-parallel node arrays (feature, threshold, child indices, leaf value) and a
-whole feature matrix is routed level by level in at most ``max_depth`` NumPy
-steps, instead of walking the node objects once per row.  This is what makes
-batched cost-model inference fast enough for the measurement pipeline's
-large candidate batches.
+Growth sorts once per tree: :meth:`RegressionTree.fit` stable-argsorts every
+column of the training matrix up front, and each node hands its children
+their share of that per-feature order through a stable boolean partition.
+Filtering a stable sort leaves the order a fresh stable sort of the node's
+rows would give, so split search needs no per-node ``argsort`` and grows the
+same trees, bit for bit, as sorting every node afresh.
+
+Prediction descends flat node arrays (:class:`PackedTrees`): feature,
+threshold, child indices and leaf value, with every leaf looping back to
+itself.  A whole feature matrix is routed through any number of trees at
+once, as an ``(n_rows, n_trees)`` node matrix advanced one level per NumPy
+step, ``depth`` steps in all.  A single tree is the one-tree case; the
+gradient-boosted ensemble packs all its trees into one set of arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.caching import hot_path_enabled
 
-__all__ = ["RegressionTree"]
+__all__ = ["PackedTrees", "RegressionTree"]
 
 
-@dataclass
-class _Node:
-    prediction: float
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["_Node"] = None
-    right: Optional["_Node"] = None
+class PackedTrees(NamedTuple):
+    """Several trees' nodes concatenated into flat arrays for batched descent.
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    Leaves carry feature 0 and point both children at themselves, so a row
+    that reaches a leaf stays there and the descent needs no active-row mask.
+    """
+
+    feature: np.ndarray    #: split feature per node
+    threshold: np.ndarray  #: split threshold per node (rows ``<=`` go left)
+    left: np.ndarray       #: left child index per node
+    right: np.ndarray      #: right child index per node
+    value: np.ndarray      #: leaf value per node (times the pack's scale)
+    roots: np.ndarray      #: root node index of every tree
+    depth: int             #: deepest leaf of any tree
+    n_features: int        #: feature-matrix width the trees were fitted on
+
+    @classmethod
+    def pack(cls, trees: Sequence["RegressionTree"], scale: float = 1.0) -> "PackedTrees":
+        """Concatenate fitted ``trees``, with every leaf value multiplied by ``scale``."""
+        sizes = [len(tree._node_value) for tree in trees]
+        roots = np.cumsum([0] + sizes[:-1]).astype(np.intp)
+        feature = np.concatenate([tree._node_feature for tree in trees])
+        left = np.concatenate([tree._node_left + root for tree, root in zip(trees, roots)])
+        right = np.concatenate([tree._node_right + root for tree, root in zip(trees, roots)])
+        leaves = np.nonzero(feature < 0)[0]
+        feature[leaves] = 0
+        left[leaves] = leaves
+        right[leaves] = leaves
+        return cls(
+            feature=feature,
+            threshold=np.concatenate([tree._node_threshold for tree in trees]),
+            left=left,
+            right=right,
+            value=scale * np.concatenate([tree._node_value for tree in trees]),
+            roots=roots,
+            depth=max(tree._depth for tree in trees),
+            n_features=trees[0].n_features,
+        )
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """``(n_rows, n_trees)`` matrix of the leaf value each row reaches in each tree."""
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise ValueError("X must be 2-dimensional")
+        if X.shape[1] != self.n_features:
+            raise ValueError(
+                f"X has {X.shape[1]} features, but the model was fitted on {self.n_features}"
+            )
+        flat = X.ravel()
+        row_start = (np.arange(X.shape[0], dtype=np.intp) * X.shape[1])[:, None]
+        node = np.tile(self.roots, (X.shape[0], 1))
+        for _ in range(self.depth):
+            go_left = flat[row_start + self.feature[node]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return self.value[node]
 
 
 class RegressionTree:
@@ -72,7 +122,8 @@ class RegressionTree:
         self.min_gain = min_gain
         self.max_features = max_features
         self._rng = rng or np.random.default_rng(0)
-        self._root: Optional[_Node] = None
+        self.n_features: Optional[int] = None
+        self._packed: Optional[PackedTrees] = None
 
     # ------------------------------------------------------------------ #
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RegressionTree":
@@ -84,79 +135,80 @@ class RegressionTree:
             raise ValueError("X and y have mismatched lengths")
         if X.shape[0] == 0:
             raise ValueError("cannot fit on an empty dataset")
-        self._root = self._build(X, y, depth=0)
-        self._flatten()
+        self.n_features = X.shape[1]
+        self._grow(X, y)
+        self._packed = PackedTrees.pack([self])
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predict a whole feature matrix at once.
-
-        The batch is routed through the flattened node arrays level by level:
-        every iteration advances all rows still at internal nodes one level
-        down, so the loop runs at most ``max_depth`` times regardless of the
-        batch size.
-        """
-        if self._root is None:
+        """Predict a whole feature matrix at once (the one-tree packed descent)."""
+        if self._packed is None:
             raise RuntimeError("tree is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError("X must be 2-dimensional")
-        node = np.zeros(X.shape[0], dtype=np.intp)
-        while True:
-            feature = self._node_feature[node]
-            active = feature >= 0
-            if not np.any(active):
-                break
-            rows = np.nonzero(active)[0]
-            at = node[rows]
-            go_left = X[rows, feature[rows]] <= self._node_threshold[at]
-            node[rows] = np.where(go_left, self._node_left[at], self._node_right[at])
-        return self._node_value[node]
+        return self._packed.leaf_values(X)[:, 0]
 
     # ------------------------------------------------------------------ #
-    def _flatten(self) -> None:
-        """Flatten the node objects into parallel arrays for batched predict."""
+    def _grow(self, X: np.ndarray, y: np.ndarray) -> None:
+        """Grow the tree depth-first (left before right) into flat node arrays.
+
+        Nodes are numbered in pre-order, in the order their split search
+        draws candidate features from the RNG.  A leaf has feature ``-1`` and
+        children ``-1``.  Each node works on ``rows`` (its training rows,
+        ascending) and ``order`` (``(d, n_node)``: per feature, the same rows
+        sorted by that feature's value, stable).
+        """
         features: list = []
         thresholds: list = []
         lefts: list = []
         rights: list = []
         values: list = []
-
-        def add(node: _Node) -> int:
-            idx = len(features)
+        XT = np.ascontiguousarray(X.T)
+        goes_left = np.zeros(X.shape[0], dtype=bool)
+        presorted = hot_path_enabled()
+        self._depth = 0
+        # (rows, order, depth, the parent's child list to link into, parent)
+        stack = [(np.arange(X.shape[0]), np.argsort(XT, axis=1, kind="stable"), 0, None, -1)]
+        while stack:
+            rows, order, depth, link, parent = stack.pop()
+            idx = len(values)
+            if link is not None:
+                link[parent] = idx
+            y_node = y[rows]
+            total_sum = float(y_node.sum())
             features.append(-1)
-            thresholds.append(node.threshold)
+            thresholds.append(0.0)
             lefts.append(-1)
             rights.append(-1)
-            values.append(node.prediction)
-            if not node.is_leaf:
-                features[idx] = node.feature
-                lefts[idx] = add(node.left)
-                rights[idx] = add(node.right)
-            return idx
+            values.append(total_sum / len(rows))  # == np.mean(y_node), bit for bit
+            self._depth = max(self._depth, depth)
+            # ``np.allclose(y_node, y_node[0])`` for finite values.
+            if (
+                depth >= self.max_depth
+                or len(rows) < 2 * self.min_samples_leaf
+                or np.all(np.abs(y_node - y_node[0]) <= 1e-8 + 1e-5 * abs(y_node[0]))
+            ):
+                continue
+            if presorted:
+                feature, threshold, gain = self._best_split(XT, y, y_node, total_sum, order)
+            else:
+                feature, threshold, gain = self._best_split_reference(X[rows], y_node)
+            if feature < 0 or gain < self.min_gain:
+                continue
 
-        add(self._root)
+            features[idx] = feature
+            thresholds[idx] = threshold
+            left_of_row = XT[feature, rows] <= threshold
+            goes_left[rows] = left_of_row
+            in_left = goes_left[order].ravel()
+            left_order = order.ravel().compress(in_left).reshape(len(order), -1)
+            right_order = order.ravel().compress(~in_left).reshape(len(order), -1)
+            # Pushed right first, so the whole left subtree is grown before it.
+            stack.append((rows[~left_of_row], right_order, depth + 1, rights, idx))
+            stack.append((rows[left_of_row], left_order, depth + 1, lefts, idx))
         self._node_feature = np.asarray(features, dtype=np.intp)
         self._node_threshold = np.asarray(thresholds, dtype=np.float64)
         self._node_left = np.asarray(lefts, dtype=np.intp)
         self._node_right = np.asarray(rights, dtype=np.intp)
         self._node_value = np.asarray(values, dtype=np.float64)
-
-    def _build(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        node = _Node(prediction=float(np.mean(y)))
-        if depth >= self.max_depth or len(y) < 2 * self.min_samples_leaf or np.allclose(y, y[0]):
-            return node
-
-        feature, threshold, gain = self._best_split(X, y)
-        if feature < 0 or gain < self.min_gain:
-            return node
-
-        mask = X[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(X[mask], y[mask], depth + 1)
-        node.right = self._build(X[~mask], y[~mask], depth + 1)
-        return node
 
     def _candidate_features(self, n_features: int) -> np.ndarray:
         features = np.arange(n_features)
@@ -164,60 +216,64 @@ class RegressionTree:
             features = self._rng.choice(n_features, size=self.max_features, replace=False)
         return features
 
-    def _best_split(self, X: np.ndarray, y: np.ndarray):
+    def _best_split(
+        self,
+        XT: np.ndarray,
+        y: np.ndarray,
+        y_node: np.ndarray,
+        total_sum: float,
+        order: np.ndarray,
+    ):
         """Exact greedy split over all candidate features in one NumPy pass.
 
-        All candidate columns are argsorted and prefix-summed together
-        (``axis=0``), so split search costs one sort of an ``(N, K)`` matrix
-        instead of ``K`` per-feature sorts — the dominant cost of cost-model
-        refits on the tuning hot path.  Gains, validity masks and the
-        first-maximum tie-breaking replicate :meth:`_best_split_reference`
-        bit for bit, so both implementations grow identical trees.
+        ``order`` holds the node's rows presorted along every feature, so the
+        candidate columns are gathered already sorted and prefix-summed
+        together (one ``(K, n)`` pass instead of ``K`` per-feature sorts).
+        ``y_node`` is the node's targets in row order and ``total_sum`` their
+        sum.  Sums, gains, validity masks and the first-maximum tie-breaking
+        replicate :meth:`_best_split_reference` bit for bit, so both
+        implementations grow identical trees.
         """
-        if not hot_path_enabled():
-            return self._best_split_reference(X, y)
-        n_samples, n_features = X.shape
-        total_sum = float(np.sum(y))
-        total_sq = float(np.sum(y * y))
+        n_samples = order.shape[1]
+        total_sq = float((y_node * y_node).sum())
         base_sse = total_sq - total_sum * total_sum / n_samples
-        features = self._candidate_features(n_features)
+        features = self._candidate_features(len(XT))
 
-        cols = X[:, features]
-        order = np.argsort(cols, axis=0, kind="mergesort")
-        v_sorted = np.take_along_axis(cols, order, axis=0)
-        y_sorted = y[order]
+        sorted_rows = order[features]
+        v_sorted = XT.take(sorted_rows + (features * XT.shape[1])[:, None])
+        y_sorted = y.take(sorted_rows)
 
-        left_count = np.arange(1, n_samples)[:, None]
-        left_sum = np.cumsum(y_sorted, axis=0)[:-1]
-        left_sq = np.cumsum(y_sorted * y_sorted, axis=0)[:-1]
+        # Splitting after sorted position p sends p + 1 rows left; only the
+        # positions in [lo, hi) leave min_samples_leaf rows on both sides.
+        lo, hi = self.min_samples_leaf - 1, n_samples - self.min_samples_leaf
+        left_count = np.arange(lo + 1, hi + 1)
         right_count = n_samples - left_count
-        right_sum = total_sum - left_sum
-        right_sq = total_sq - left_sq
+        left_sum = np.cumsum(y_sorted, axis=1)[:, lo:hi]
+        left_sq = np.cumsum(np.multiply(y_sorted, y_sorted, out=y_sorted), axis=1)[:, lo:hi]
 
-        sse = (
-            left_sq
-            - left_sum * left_sum / left_count
-            + right_sq
-            - right_sum * right_sum / right_count
-        )
-        gains = base_sse - sse
-        valid = (
-            (left_count >= self.min_samples_leaf)
-            & (right_count >= self.min_samples_leaf)
-            & (v_sorted[:-1] < v_sorted[1:])
-        )
-        gains = np.where(valid, gains, -np.inf)
+        # In place, operation for operation:
+        # gains = base_sse - (left_sq - left_sum * left_sum / left_count
+        #                     + right_sq - right_sum * right_sum / right_count)
+        gains = left_sum * left_sum
+        gains /= left_count
+        np.subtract(left_sq, gains, out=gains)
+        gains += np.subtract(total_sq, left_sq, out=left_sq)
+        right_sum = np.subtract(total_sum, left_sum, out=left_sum)
+        right_sum *= right_sum
+        right_sum /= right_count
+        gains -= right_sum
+        np.subtract(base_sse, gains, out=gains)
+        # Equal adjacent values give no usable threshold.
+        gains[~(v_sorted[:, lo:hi] < v_sorted[:, lo + 1 : hi + 1])] = -np.inf
 
-        col_best = np.argmax(gains, axis=0)
-        col_gain = gains[col_best, np.arange(len(features))]
-        best_feature, best_threshold, best_gain = -1, 0.0, 0.0
-        for k, feature in enumerate(features):
-            if col_gain[k] > best_gain:
-                idx = int(col_best[k])
-                best_gain = float(col_gain[k])
-                best_feature = int(feature)
-                best_threshold = float((v_sorted[idx, k] + v_sorted[idx + 1, k]) / 2.0)
-        return best_feature, best_threshold, best_gain
+        col_best = np.argmax(gains, axis=1)
+        col_gain = gains[np.arange(len(features)), col_best]
+        k = int(np.argmax(col_gain))
+        if not col_gain[k] > 0.0:
+            return -1, 0.0, 0.0
+        idx = lo + int(col_best[k])
+        threshold = float((v_sorted[k, idx] + v_sorted[k, idx + 1]) / 2.0)
+        return int(features[k]), threshold, float(col_gain[k])
 
     def _best_split_reference(self, X: np.ndarray, y: np.ndarray):
         """Per-feature reference split search (the pre-overhaul implementation)."""

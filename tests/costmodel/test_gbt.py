@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.costmodel.gbt import GradientBoostedTrees
+from repro.costmodel.tree import RegressionTree
 
 
 @pytest.fixture
@@ -68,10 +69,103 @@ class TestFitPredict:
         assert np.all(np.isfinite(model.predict(X)))
 
 
+def walk(tree, X):
+    """Scalar oracle: route each row through the tree's node arrays one by one."""
+    out = np.empty(len(X))
+    for r, row in enumerate(X):
+        node = 0
+        while tree._node_feature[node] >= 0:
+            go_left = row[tree._node_feature[node]] <= tree._node_threshold[node]
+            node = tree._node_left[node] if go_left else tree._node_right[node]
+        out[r] = tree._node_value[node]
+    return out
+
+
+def sequential_sum(model, X, tree_predict):
+    """The ensemble prediction accumulated tree by tree, in tree order."""
+    out = np.full(len(X), model._base_prediction)
+    for tree in model._trees:
+        out += model.learning_rate * tree_predict(tree, X)
+    return out
+
+
+def assert_packed_equals_sequential(model, X):
+    packed = model.predict(X)
+    assert np.array_equal(packed, sequential_sum(model, X, RegressionTree.predict))
+    assert np.array_equal(packed, sequential_sum(model, X, walk))
+
+
+class TestPackedEnsemble:
+    """The packed all-trees descent must equal the per-tree sequential sum."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_several_seeds(self, seed):
+        X, y = _friedman_like(np.random.default_rng(seed), n=200)
+        model = GradientBoostedTrees(n_estimators=30, max_depth=5, seed=seed).fit(X, y)
+        assert model.n_trees == 30
+        held_out = np.random.default_rng(100 + seed).random((64, 5))
+        assert_packed_equals_sequential(model, X)
+        assert_packed_equals_sequential(model, held_out)
+
+    def test_early_stopped_ensemble(self, rng):
+        X = rng.random((60, 3))
+        y = np.where(X[:, 0] > 0.5, 1.0, 0.0)
+        model = GradientBoostedTrees(
+            n_estimators=200, early_stopping_rounds=2, min_samples_leaf=1, seed=0
+        ).fit(X, y)
+        assert 1 < model.n_trees < 200
+        assert_packed_equals_sequential(model, rng.random((40, 3)))
+
+    def test_constant_target_single_leaf_trees(self, rng):
+        X = rng.random((40, 4))
+        model = GradientBoostedTrees(n_estimators=8, seed=0).fit(X, np.full(40, 2.5))
+        assert all(tree._node_value.size == 1 for tree in model._trees)
+        assert_packed_equals_sequential(model, X)
+
+    def test_stumps(self, rng):
+        X, y = _friedman_like(rng, n=150)
+        model = GradientBoostedTrees(n_estimators=20, max_depth=1, seed=4).fit(X, y)
+        assert all(tree._node_value.size <= 3 for tree in model._trees)
+        assert_packed_equals_sequential(model, X)
+
+    def test_tied_feature_values(self, rng):
+        X = np.round(rng.random((120, 4)) * 3) / 3
+        y = X[:, 0] - 2 * X[:, 1] + 0.05 * rng.normal(size=120)
+        model = GradientBoostedTrees(n_estimators=25, seed=1).fit(X, y)
+        # Rows sitting exactly on the fitted thresholds' neighbouring values.
+        assert_packed_equals_sequential(model, np.round(rng.random((50, 4)) * 3) / 3)
+
+    def test_mixed_depth_trees(self, rng):
+        # Residuals shrink as boosting proceeds, so later trees stop earlier
+        # than the first: the packed descent must leave finished rows alone.
+        X, y = _friedman_like(rng, n=80)
+        model = GradientBoostedTrees(
+            n_estimators=40, max_depth=6, min_samples_leaf=8, seed=2
+        ).fit(X, y)
+        assert len({tree._depth for tree in model._trees}) > 1
+        assert_packed_equals_sequential(model, X)
+
+
 class TestValidation:
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
             GradientBoostedTrees().predict(np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("width", [2, 7])
+    def test_predict_rejects_wrong_width(self, rng, width):
+        model = GradientBoostedTrees(n_estimators=5, seed=0)
+        model.fit(rng.random((40, 3)), rng.random(40))
+        assert model.n_features == 3
+        with pytest.raises(ValueError, match="3"):
+            model.predict(rng.random((4, width)))
+
+    def test_predict_zero_rows(self, rng):
+        model = GradientBoostedTrees(n_estimators=5, seed=0)
+        model.fit(rng.random((40, 3)), rng.random(40))
+        out = model.predict(np.zeros((0, 3)))
+        assert out.shape == (0,) and out.dtype == np.float64
+        with pytest.raises(ValueError):
+            model.predict(np.zeros((0, 7)))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):

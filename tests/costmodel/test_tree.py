@@ -3,12 +3,67 @@
 import numpy as np
 import pytest
 
+from repro.caching import legacy_hot_path
+from repro.costmodel.gbt import GradientBoostedTrees
 from repro.costmodel.tree import RegressionTree
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+def node_arrays(tree):
+    return (
+        tree._node_feature,
+        tree._node_threshold,
+        tree._node_left,
+        tree._node_right,
+        tree._node_value,
+    )
+
+
+def grow_per_node(X, y, max_depth, min_samples_leaf, max_features, seed):
+    """The pre-presort growth algorithm, as an independent oracle.
+
+    Recursive depth-first growth that hands every child its own ``X[mask]``
+    and searches it with :meth:`RegressionTree._best_split_reference` (a
+    fresh per-feature sort per node), flattened in pre-order.
+    """
+    splitter = RegressionTree(
+        max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+        max_features=max_features, rng=np.random.default_rng(seed),
+    )
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def grow(X, y, depth):
+        idx = len(value)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(np.mean(y)))
+        if depth >= max_depth or len(y) < 2 * min_samples_leaf or np.allclose(y, y[0]):
+            return idx
+        f, t, gain = splitter._best_split_reference(X, y)
+        if f < 0 or gain < splitter.min_gain:
+            return idx
+        mask = X[:, f] <= t
+        feature[idx], threshold[idx] = f, t
+        left[idx] = grow(X[mask], y[mask], depth + 1)
+        right[idx] = grow(X[~mask], y[~mask], depth + 1)
+        return idx
+
+    grow(X, y, 0)
+    return feature, threshold, left, right, value
+
+
+def tied_dataset(rng, n=120, d=6):
+    """Coarsely quantised features (many ties) and a noisy piecewise target."""
+    X = np.round(rng.random((n, d)) * 4) / 4
+    X[:, 2] = X[:, 0]  # an exactly duplicated column
+    y = np.where(X[:, 0] > 0.5, 2.0, -1.0) + X[:, 1] + 0.1 * rng.normal(size=n)
+    return X, y
 
 
 class TestFitPredict:
@@ -59,10 +114,77 @@ class TestFitPredict:
         assert np.all(np.isfinite(pred))
 
 
+class TestPresortedGrowth:
+    """Presort-once growth must grow exactly the trees per-node sorting grows."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("max_features", [None, 3])
+    def test_matches_per_node_oracle(self, seed, max_features):
+        X, y = tied_dataset(np.random.default_rng(seed))
+        tree = RegressionTree(
+            max_depth=5, min_samples_leaf=2, max_features=max_features,
+            rng=np.random.default_rng(seed),
+        ).fit(X, y)
+        expected = grow_per_node(X, y, 5, 2, max_features, seed)
+        for got, want in zip(node_arrays(tree), expected):
+            assert np.array_equal(got, np.asarray(want, dtype=got.dtype))
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("min_samples_leaf", [1, 3])
+    def test_matches_legacy_path(self, seed, min_samples_leaf):
+        X, y = tied_dataset(np.random.default_rng(seed), n=90, d=8)
+
+        def fit():
+            return RegressionTree(
+                max_depth=6, min_samples_leaf=min_samples_leaf, max_features=5,
+                rng=np.random.default_rng(seed),
+            ).fit(X, y)
+
+        fast = fit()
+        with legacy_hot_path():
+            legacy = fit()
+        assert fast._node_value.size > 7  # a real tree, not a stump
+        for got, want in zip(node_arrays(fast), node_arrays(legacy)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_boosted_trees_match_legacy_path(self, seed):
+        X, y = tied_dataset(np.random.default_rng(seed), n=150, d=10)
+
+        def fit():
+            # Row subsampling and colsample < 1 (max_features) both on.
+            return GradientBoostedTrees(
+                n_estimators=25, subsample=0.7, colsample=0.6, max_depth=5, seed=seed
+            ).fit(X, y)
+
+        fast = fit()
+        with legacy_hot_path():
+            legacy = fit()
+        assert fast.n_trees == legacy.n_trees
+        for fast_tree, legacy_tree in zip(fast._trees, legacy._trees):
+            for got, want in zip(node_arrays(fast_tree), node_arrays(legacy_tree)):
+                assert np.array_equal(got, want)
+        assert np.array_equal(fast.predict(X), legacy.predict(X))
+
+
 class TestValidation:
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
             RegressionTree().predict(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("width", [2, 7])
+    def test_predict_rejects_wrong_width(self, rng, width):
+        tree = RegressionTree(max_depth=3).fit(rng.random((30, 3)), rng.random(30))
+        assert tree.n_features == 3
+        with pytest.raises(ValueError, match="3"):
+            tree.predict(rng.random((5, width)))
+
+    def test_predict_zero_rows(self, rng):
+        tree = RegressionTree(max_depth=3).fit(rng.random((30, 3)), rng.random(30))
+        out = tree.predict(np.zeros((0, 3)))
+        assert out.shape == (0,) and out.dtype == np.float64
+        with pytest.raises(ValueError):
+            tree.predict(np.zeros((0, 4)))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
