@@ -2,8 +2,9 @@
 """Hot-path micro-benchmark harness (``make perf``).
 
 Times the stages of the tuning inner loop — feature extraction, batched
-cost-model prediction, sampler throughput, the vectorised simulator, a full
-``NetworkTuner`` round and a registry warm-start lookup — and emits a
+cost-model prediction, sampler throughput, the vectorised simulator, the PPO
+learner's update, a full ``NetworkTuner`` round and a registry warm-start
+lookup — and emits a
 schema-versioned ``BENCH_perf.json`` with median / p95 wall-clock and
 throughput per stage.
 
@@ -39,6 +40,7 @@ import numpy as np
 
 from repro import obs
 from repro.caching import cache_stats, clear_caches, legacy_hot_path, reset_cache_stats
+from repro.core.actor_critic import PPOAgent
 from repro.core.config import HARLConfig
 from repro.costmodel.model import ScheduleCostModel
 from repro.experiments.network_runner import NetworkTuner
@@ -49,7 +51,7 @@ from repro.records import schedule_to_dict
 from repro.serving.fingerprint import structural_fingerprint, workload_embedding
 from repro.serving.registry import RegistryEntry, ScheduleRegistry
 from repro.serving.service import TuningService
-from repro.tensor.features import batch_features
+from repro.tensor.features import FEATURE_SIZE, batch_features
 from repro.tensor.sampler import sample_initial_schedules
 from repro.tensor.sketch import generate_sketches
 from repro.tensor.workloads import conv1d, gemm
@@ -220,6 +222,31 @@ def bench_simulator(repeats: int, batch: int) -> Dict[str, object]:
     return _stage("simulator_batch", fast, len(schedules), "schedules/s", legacy)
 
 
+def bench_ppo_update(repeats: int, updates: int) -> Dict[str, object]:
+    """``PPOAgent.update()`` throughput on a MobileNet-sized action space.
+
+    ``HARLConfig.scaled()`` agent with ``FEATURE_SIZE`` inputs and the
+    485-wide tiling head of a 22-slot sketch, the shape of nearly every agent
+    in a MobileNet-V2 tune, over a replay buffer of 256 random transitions.
+    """
+    head_sizes = (485, 3, 3, 3)
+    agent = PPOAgent(FEATURE_SIZE, head_sizes, config=HARLConfig.scaled(), seed=0)
+    rng = np.random.default_rng(0)
+    states = rng.normal(size=(256, FEATURE_SIZE))
+    batch = agent.act(states)
+    rewards = rng.normal(size=len(states))
+    td_targets, advantages = agent.compute_advantage(
+        rewards, batch.values, agent.value(rng.normal(size=states.shape))
+    )
+    agent.store(states, batch.actions, batch.log_probs, rewards, td_targets, advantages)
+
+    def run():
+        for _ in range(updates):
+            agent.update()
+
+    return _stage("ppo_update", _time(run, repeats), updates, "updates/s")
+
+
 def _run_network_tuning(n_trials: int) -> float:
     """One full NetworkTuner run on a fresh service; returns f(S)."""
     service = TuningService(
@@ -245,7 +272,7 @@ def bench_tuning_round(repeats: int, n_trials: int) -> Dict[str, object]:
 
 
 def bench_obs_overhead(repeats: int, n_trials: int) -> Dict[str, object]:
-    """Instrumentation overhead on the six-stage harness's tuning stage.
+    """Instrumentation overhead on the harness's tuning stage.
 
     Times the full ``NetworkTuner`` run (the harness stage that crosses every
     instrumented layer: service rounds, measurement batches, registry appends,
@@ -334,6 +361,7 @@ def run_harness(repeats: int, batch: int, n_trials: int) -> Dict[str, object]:
         "batched_prediction": bench_batched_prediction(repeats, batch),
         "sampler": bench_sampler(repeats, batch),
         "simulator_batch": bench_simulator(repeats, batch),
+        "ppo_update": bench_ppo_update(repeats, 20),
         "tuning_round": bench_tuning_round(max(2, repeats // 2), n_trials),
         "registry_warm_start": bench_registry_warm_start(repeats, 128),
     }

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import HARLConfig
-from repro.core.policy import Adam, MultiHeadMLP, log_softmax, softmax
+from repro.core.policy import Adam, MultiHeadMLP, softmax, softmax_and_log_softmax
 from repro.core.rollout import ReplayBuffer
 
 __all__ = ["PPOAgent", "ActionBatch"]
@@ -80,8 +80,7 @@ class PPOAgent:
         actions = np.zeros((n, len(self.head_sizes)), dtype=np.int64)
         log_probs = np.zeros(n, dtype=np.float64)
         for h, head_logits in enumerate(logits):
-            probs = softmax(head_logits)
-            logp = log_softmax(head_logits)
+            probs, logp = softmax_and_log_softmax(head_logits)
             if greedy:
                 chosen = np.argmax(probs, axis=1)
             else:
@@ -147,18 +146,21 @@ class PPOAgent:
         n = states.shape[0]
 
         # Normalising advantages stabilises the tiny-batch PPO updates.
-        adv = advantages.copy()
-        if n > 1 and np.std(adv) > 1e-8:
-            adv = (adv - np.mean(adv)) / (np.std(adv) + 1e-8)
+        adv = advantages
+        if n > 1:
+            std = np.std(adv)
+            if std > 1e-8:
+                adv = (adv - np.mean(adv)) / (std + 1e-8)
 
         # ---------------- actor ---------------- #
         logits, actor_cache = self.actor.forward(states)
+        rows = np.arange(n)
         new_log_probs = np.zeros(n, dtype=np.float64)
-        probs_per_head = []
+        head_dists = []
         for h, head_logits in enumerate(logits):
-            logp = log_softmax(head_logits)
-            probs_per_head.append(softmax(head_logits))
-            new_log_probs += logp[np.arange(n), actions[:, h]]
+            probs, logp = softmax_and_log_softmax(head_logits)
+            head_dists.append((probs, logp))
+            new_log_probs += logp[rows, actions[:, h]]
 
         ratio = np.exp(np.clip(new_log_probs - old_log_probs, -20.0, 20.0))
         clipped = np.clip(ratio, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon)
@@ -173,11 +175,9 @@ class PPOAgent:
 
         entropy_total = 0.0
         head_grads = []
-        for h, head_logits in enumerate(logits):
-            probs = probs_per_head[h]
-            logp = log_softmax(head_logits)
+        for h, (probs, logp) in enumerate(head_dists):
             onehot = np.zeros_like(probs)
-            onehot[np.arange(n), actions[:, h]] = 1.0
+            onehot[rows, actions[:, h]] = 1.0
             grad = dloss_dlogp[:, None] * (onehot - probs)
 
             entropy = -np.sum(probs * logp, axis=1)

@@ -138,6 +138,11 @@ class ParameterSearcher:
         step = 0
         num_visited = len(tracks)
         rl_stats: Dict[str, float] = {}
+        # Feature rows of the live tracks' schedules, in ``live`` order.  Each
+        # step's next states become the following step's states: feature
+        # rows do not depend on the rest of the batch, so carrying them over
+        # (minus the eliminated tracks' rows) equals extracting them again.
+        states = batch_features([t.schedule for t in tracks])
 
         while (
             self.stopper.should_continue(step, sum(t.alive for t in tracks))
@@ -146,7 +151,6 @@ class ParameterSearcher:
             live = [t for t in tracks if t.alive]
             if not live:
                 break
-            states = batch_features([t.schedule for t in live])
             batch = self.agent.act(states)
 
             new_schedules = []
@@ -176,11 +180,13 @@ class ParameterSearcher:
             if step % cfg.train_interval == 0:
                 rl_stats = self.agent.update()
 
+            states = next_states
             if self.stopper.is_elimination_step(step):
                 survivors = set(self.stopper.select_survivors(advantages))
-                for idx, track in enumerate(live):
-                    if idx not in survivors:
-                        track.alive = False
+                kept = [idx in survivors for idx in range(len(live))]
+                for track, keep in zip(live, kept):
+                    track.alive = keep
+                states = next_states[kept]
 
         measured = self._measure_top_k(history, max_measures)
         throughputs = [r.throughput for r in measured]

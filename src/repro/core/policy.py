@@ -6,27 +6,78 @@ an MLP with a single scalar head.  Forward and backward passes are written by
 hand (no autograd), and parameters are trained with Adam.  Network widths are
 tiny (64 hidden units) because schedule feature vectors are ~60-dimensional
 and episodes only contain a few hundred states.
+
+At these sizes much of the learner's cost is NumPy call overhead, so the
+parameters live in one contiguous buffer per network
+(:class:`ParameterViews`): :meth:`MultiHeadMLP.backward` writes gradients
+into one fresh buffer of the same layout, and :class:`Adam` updates
+everything in a handful of whole-buffer ufunc calls instead of a dozen per
+parameter array.  Every element still goes through the same float64
+operations in the same order as a per-array implementation, so the results
+are bit-identical to it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["MultiHeadMLP", "Adam", "softmax", "log_softmax"]
+__all__ = [
+    "MultiHeadMLP",
+    "Adam",
+    "ParameterViews",
+    "softmax",
+    "log_softmax",
+    "softmax_and_log_softmax",
+]
+
+
+def softmax_and_log_softmax(logits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-wise ``(softmax, log_softmax)`` from one max-shift/exp/sum pass."""
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    total = np.sum(exp, axis=-1, keepdims=True)
+    return exp / total, shifted - np.log(total)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with the usual max-shift for numerical stability."""
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=-1, keepdims=True)
+    return softmax_and_log_softmax(logits)[0]
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    return softmax_and_log_softmax(logits)[1]
+
+
+class ParameterViews(tuple):
+    """Arrays laid back to back in one contiguous 1-D float64 buffer.
+
+    Element ``i`` is a reshaped view of a slice of :attr:`flat`, so writes
+    through either are seen by both, and whole-buffer operations on
+    :attr:`flat` touch every array at once.
+    """
+
+    flat: np.ndarray
+
+    def __new__(cls, flat: np.ndarray, shapes: Sequence[Tuple[int, ...]]) -> "ParameterViews":
+        views = []
+        offset = 0
+        for shape in shapes:
+            size = math.prod(shape)
+            views.append(flat[offset : offset + size].reshape(shape))
+            offset += size
+        if offset != flat.size:
+            raise ValueError(f"shapes cover {offset} elements of a {flat.size}-element buffer")
+        self = super().__new__(cls, views)
+        self.flat = flat
+        return self
+
+    def __reduce__(self):
+        # Copies and pickles rebuild the views over one (copied) buffer, so
+        # a copied network and its copied optimiser still share it.
+        return (type(self), (self.flat, tuple(view.shape for view in self)))
 
 
 class MultiHeadMLP:
@@ -56,41 +107,58 @@ class MultiHeadMLP:
         self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
         self.head_sizes = tuple(int(h) for h in head_sizes)
 
-        self.trunk_weights: List[np.ndarray] = []
-        self.trunk_biases: List[np.ndarray] = []
-        prev = self.input_size
-        for width in self.hidden_sizes:
-            scale = np.sqrt(2.0 / prev)
-            self.trunk_weights.append(rng.normal(0.0, scale, size=(prev, width)))
-            self.trunk_biases.append(np.zeros(width))
-            prev = width
+        # Parameter order (and buffer layout): trunk weights, trunk biases,
+        # head weights, head biases.
+        trunk_in = (self.input_size,) + self.hidden_sizes[:-1]
+        trunk_out = self.hidden_sizes[-1] if self.hidden_sizes else self.input_size
+        self.shapes: Tuple[Tuple[int, ...], ...] = (
+            tuple(zip(trunk_in, self.hidden_sizes))
+            + tuple((w,) for w in self.hidden_sizes)
+            + tuple((trunk_out, w) for w in self.head_sizes)
+            + tuple((w,) for w in self.head_sizes)
+        )
+        self._params = ParameterViews(
+            np.zeros(sum(math.prod(s) for s in self.shapes)), self.shapes
+        )
 
-        self.head_weights: List[np.ndarray] = []
-        self.head_biases: List[np.ndarray] = []
-        for width in self.head_sizes:
-            scale = np.sqrt(1.0 / prev)
-            self.head_weights.append(rng.normal(0.0, 0.1 * scale, size=(prev, width)))
-            self.head_biases.append(np.zeros(width))
+        # Same draws, in the same order, as allocating each array on its own.
+        trunk_weights, _, head_weights, _ = self._groups(self._params)
+        prev = self.input_size
+        for W in trunk_weights:
+            W[...] = rng.normal(0.0, np.sqrt(2.0 / prev), size=W.shape)
+            prev = W.shape[1]
+        for W in head_weights:
+            W[...] = rng.normal(0.0, 0.1 * np.sqrt(1.0 / prev), size=W.shape)
+
+    def _groups(self, arrays: Sequence[np.ndarray]) -> Tuple[Sequence[np.ndarray], ...]:
+        """``arrays`` (in :meth:`parameters` order) split into trunk weights,
+        trunk biases, head weights and head biases."""
+        t, h = len(self.hidden_sizes), len(self.head_sizes)
+        return arrays[:t], arrays[t : 2 * t], arrays[2 * t : 2 * t + h], arrays[2 * t + h :]
 
     # ------------------------------------------------------------------ #
     # parameter plumbing
     # ------------------------------------------------------------------ #
-    def parameters(self) -> List[np.ndarray]:
-        """Flat list of parameter arrays (views, not copies)."""
-        return (
-            self.trunk_weights + self.trunk_biases + self.head_weights + self.head_biases
-        )
+    def parameters(self) -> ParameterViews:
+        """Parameter arrays (views into one flat buffer, not copies)."""
+        return self._params
 
     def set_parameters(self, params: Sequence[np.ndarray]) -> None:
-        expected = len(self.parameters())
-        if len(params) != expected:
-            raise ValueError(f"expected {expected} parameter arrays, got {len(params)}")
-        nt = len(self.trunk_weights)
-        nh = len(self.head_weights)
-        self.trunk_weights = [np.array(p, dtype=np.float64) for p in params[:nt]]
-        self.trunk_biases = [np.array(p, dtype=np.float64) for p in params[nt : 2 * nt]]
-        self.head_weights = [np.array(p, dtype=np.float64) for p in params[2 * nt : 2 * nt + nh]]
-        self.head_biases = [np.array(p, dtype=np.float64) for p in params[2 * nt + nh :]]
+        """Copy ``params`` into this network's buffer, in :meth:`parameters` order.
+
+        The buffer is written in place, so an :class:`Adam` built on
+        :meth:`parameters` keeps training the network.  Every array must have
+        exactly its parameter's shape (no broadcasting); on any mismatch
+        nothing is copied and ``ValueError`` is raised.
+        """
+        if len(params) != len(self.shapes):
+            raise ValueError(f"expected {len(self.shapes)} parameter arrays, got {len(params)}")
+        arrays = [np.asarray(p, dtype=np.float64) for p in params]
+        for index, (array, shape) in enumerate(zip(arrays, self.shapes)):
+            if array.shape != shape:
+                raise ValueError(f"parameter {index} has shape {array.shape}, expected {shape}")
+        for view, array in zip(self._params, arrays):
+            view[...] = array
 
     # ------------------------------------------------------------------ #
     # forward / backward
@@ -100,47 +168,90 @@ class MultiHeadMLP:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 1:
             x = x[None, :]
+        trunk_weights, trunk_biases, head_weights, head_biases = self._groups(self._params)
         activations = [x]
         h = x
-        for W, b in zip(self.trunk_weights, self.trunk_biases):
+        for W, b in zip(trunk_weights, trunk_biases):
             h = np.tanh(h @ W + b)
             activations.append(h)
-        outputs = [h @ W + b for W, b in zip(self.head_weights, self.head_biases)]
+        outputs = [h @ W + b for W, b in zip(head_weights, head_biases)]
         cache = {"activations": activations}
         return outputs, cache
 
-    def backward(self, cache: dict, head_grads: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Back-propagate per-head output gradients; returns parameter gradients
-        aligned with :meth:`parameters`."""
-        if len(head_grads) != len(self.head_weights):
+    def backward(self, cache: dict, head_grads: Sequence[np.ndarray]) -> ParameterViews:
+        """Back-propagate per-head output gradients.
+
+        Returns parameter gradients aligned with :meth:`parameters`, as views
+        into one freshly allocated flat buffer (``.flat``).
+        """
+        if len(head_grads) != len(self.head_sizes):
             raise ValueError("one gradient array per head is required")
         activations = cache["activations"]
         trunk_out = activations[-1]
+        trunk_weights, _, head_weights, _ = self._groups(self._params)
+        grads = ParameterViews(np.empty_like(self._params.flat), self.shapes)
+        trunk_w_grads, trunk_b_grads, head_w_grads, head_b_grads = self._groups(grads)
 
-        head_w_grads: List[np.ndarray] = []
-        head_b_grads: List[np.ndarray] = []
         grad_trunk = np.zeros_like(trunk_out)
-        for grad_out, W in zip(head_grads, self.head_weights):
+        for grad_out, W, gW, gb in zip(head_grads, head_weights, head_w_grads, head_b_grads):
             grad_out = np.asarray(grad_out, dtype=np.float64)
-            head_w_grads.append(trunk_out.T @ grad_out)
-            head_b_grads.append(np.sum(grad_out, axis=0))
-            grad_trunk = grad_trunk + grad_out @ W.T
+            np.matmul(trunk_out.T, grad_out, out=gW)
+            np.sum(grad_out, axis=0, out=gb)
+            grad_trunk += grad_out @ W.T
 
-        trunk_w_grads: List[np.ndarray] = [None] * len(self.trunk_weights)
-        trunk_b_grads: List[np.ndarray] = [None] * len(self.trunk_biases)
         grad_h = grad_trunk
-        for layer in reversed(range(len(self.trunk_weights))):
+        for layer in reversed(range(len(trunk_weights))):
             post = activations[layer + 1]
             pre_grad = grad_h * (1.0 - post * post)  # d tanh
-            trunk_w_grads[layer] = activations[layer].T @ pre_grad
-            trunk_b_grads[layer] = np.sum(pre_grad, axis=0)
-            grad_h = pre_grad @ self.trunk_weights[layer].T
+            np.matmul(activations[layer].T, pre_grad, out=trunk_w_grads[layer])
+            np.sum(pre_grad, axis=0, out=trunk_b_grads[layer])
+            if layer:  # the input needs no gradient
+                grad_h = pre_grad @ trunk_weights[layer].T
 
-        return trunk_w_grads + trunk_b_grads + head_w_grads + head_b_grads
+        return grads
+
+
+def _flat_buffer(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The 1-D float64 buffer behind ``arrays``, without copying.
+
+    ``arrays`` is a :class:`ParameterViews` or a single contiguous float64
+    array; the result aliases it.
+    """
+    if isinstance(arrays, ParameterViews):
+        return arrays.flat
+    if len(arrays) == 1:
+        array = arrays[0]
+        if (
+            isinstance(array, np.ndarray)
+            and array.dtype == np.float64
+            and array.flags.c_contiguous
+        ):
+            return array.reshape(-1)
+    raise ValueError(
+        "parameters must be one contiguous float64 array or a ParameterViews "
+        "(e.g. MultiHeadMLP.parameters())"
+    )
 
 
 class Adam:
-    """Adam optimiser over a list of parameter arrays (updated in place)."""
+    """Adam optimiser over one flat parameter buffer (updated in place).
+
+    ``params`` is :meth:`MultiHeadMLP.parameters` (views into the network's
+    buffer) or a list holding one contiguous float64 array.  A step is one
+    pass of in-place ufuncs over the whole buffer, in the order of the
+    per-array textbook update::
+
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + ((1 - b2) * g) * g
+        p -= (lr * (m / (1 - b1**t))) / (sqrt(v / (1 - b2**t)) + eps)
+
+    When ``max_grad_norm`` is set, the gradient is first scaled down to that
+    global L2 norm.  The squared norm is summed per parameter array
+    (``np.add.reduce`` on its slice), and the per-array sums are added with
+    Python's ``sum`` in parameter order, so clipping fires exactly when the
+    per-array formulation does.  Only the moments persist between steps;
+    scratch buffers are allocated per step.
+    """
 
     def __init__(
         self,
@@ -151,31 +262,50 @@ class Adam:
         eps: float = 1e-8,
         max_grad_norm: Optional[float] = 5.0,
     ):
-        self.params = list(params)
+        self.params = params
+        self._flat = _flat_buffer(params)
+        self._bounds = np.cumsum([0] + [np.asarray(p).size for p in params]).tolist()
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.max_grad_norm = max_grad_norm
-        self._m = [np.zeros_like(p) for p in self.params]
-        self._v = [np.zeros_like(p) for p in self.params]
+        self._m = np.zeros_like(self._flat)
+        self._v = np.zeros_like(self._flat)
         self._t = 0
 
     def step(self, grads: Sequence[np.ndarray]) -> None:
         if len(grads) != len(self.params):
             raise ValueError("gradient list does not match parameter list")
-        grads = [np.asarray(g, dtype=np.float64) for g in grads]
+        if isinstance(grads, ParameterViews):
+            grad = grads.flat
+        else:
+            grad = np.concatenate([np.asarray(g, dtype=np.float64).reshape(-1) for g in grads])
+        if grad.size != self._flat.size:
+            raise ValueError("gradient sizes do not match the parameters")
 
         if self.max_grad_norm is not None:
-            total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+            squares = grad * grad
+            bounds = self._bounds
+            total = np.sqrt(
+                sum(float(np.add.reduce(squares[a:b])) for a, b in zip(bounds, bounds[1:]))
+            )
             if total > self.max_grad_norm and total > 0:
-                scale = self.max_grad_norm / total
-                grads = [g * scale for g in grads]
+                grad = grad * (self.max_grad_norm / total)
 
         self._t += 1
-        for i, (param, grad) in enumerate(zip(self.params, grads)):
-            self._m[i] = self.beta1 * self._m[i] + (1 - self.beta1) * grad
-            self._v[i] = self.beta2 * self._v[i] + (1 - self.beta2) * grad * grad
-            m_hat = self._m[i] / (1 - self.beta1 ** self._t)
-            v_hat = self._v[i] / (1 - self.beta2 ** self._t)
-            param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v = self._m, self._v
+        scratch = np.empty_like(grad)
+        m *= self.beta1
+        m += np.multiply(grad, 1 - self.beta1, out=scratch)
+        v *= self.beta2
+        np.multiply(grad, 1 - self.beta2, out=scratch)
+        scratch *= grad
+        v += scratch
+        step = np.divide(m, 1 - self.beta1 ** self._t, out=scratch)
+        step *= self.lr
+        denom = np.divide(v, 1 - self.beta2 ** self._t)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        self._flat -= step

@@ -75,16 +75,19 @@ class ReplayBuffer:
             and len(advantages) == n
         ):
             raise ValueError("all transition arrays must have the same leading dimension")
-        for i in range(n):
-            idx = self._next
-            self._states[idx] = states[i]
-            self._actions[idx] = actions[i]
-            self._old_log_probs[idx] = old_log_probs[i]
-            self._rewards[idx] = rewards[i]
-            self._td_targets[idx] = td_targets[i]
-            self._advantages[idx] = advantages[i]
-            self._next = (self._next + 1) % self.capacity
-            self._size = min(self._size + 1, self.capacity)
+        # Row i lands in slot (next + i) % capacity; when the batch is longer
+        # than the buffer only its last ``capacity`` rows survive, and those
+        # map to distinct slots, so one index write stores them all.
+        keep = min(n, self.capacity)
+        slots = (self._next + np.arange(n - keep, n)) % self.capacity
+        self._states[slots] = states[n - keep :]
+        self._actions[slots] = actions[n - keep :]
+        self._old_log_probs[slots] = np.asarray(old_log_probs)[n - keep :]
+        self._rewards[slots] = np.asarray(rewards)[n - keep :]
+        self._td_targets[slots] = np.asarray(td_targets)[n - keep :]
+        self._advantages[slots] = np.asarray(advantages)[n - keep :]
+        self._next = (self._next + n) % self.capacity
+        self._size = min(self._size + n, self.capacity)
 
     def sample(self, batch_size: int) -> Dict[str, np.ndarray]:
         """Sample a mini-batch uniformly at random (without replacement)."""

@@ -127,7 +127,15 @@ class ScheduleCostModel:
         return len(data.throughputs) if data else 0
 
     def predict(self, schedules: Sequence[Schedule]) -> np.ndarray:
-        """Predicted performance score per schedule (≈ 1.0 for the best seen)."""
+        """Predicted performance score per schedule (≈ 1.0 for the best seen).
+
+        Schedules are grouped by workload.  A workload with a fitted model
+        gets its clipped prediction.  A cold workload (fewer than
+        ``min_samples`` measurements so far) gets a weak random prior drawn
+        from this model's RNG, one draw per schedule in batch order.  Features
+        are extracted only for the fitted workloads, since the prior does not
+        read them.
+        """
         if not schedules:
             return np.zeros(0, dtype=np.float64)
         scores = np.zeros(len(schedules), dtype=np.float64)
@@ -135,12 +143,12 @@ class ScheduleCostModel:
         for idx, schedule in enumerate(schedules):
             by_workload.setdefault(schedule.dag.name, []).append(idx)
         for key, indices in by_workload.items():
-            feats = batch_features([schedules[i] for i in indices])
             model = self._models.get(key)
             if model is None:
                 # Cold start: weak uninformative prior, like an untrained booster.
                 scores[indices] = 0.05 * self._rng.random(len(indices))
             else:
+                feats = batch_features([schedules[i] for i in indices])
                 scores[indices] = np.clip(model.predict(feats), 0.0, None)
         return scores
 

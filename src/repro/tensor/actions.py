@@ -25,6 +25,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.tensor.dag import ComputeDAG
 from repro.tensor.factors import move_factor
 from repro.tensor.schedule import Schedule
 from repro.tensor.sketch import Sketch
@@ -173,6 +174,23 @@ def _clamp(value: int, low: int, high: int) -> int:
     return max(low, min(high, value))
 
 
+#: Attribute under which a DAG's action bounds are memoised.
+_BOUNDS_ATTR = "_action_bounds_cache"
+
+
+def _action_bounds(dag: ComputeDAG) -> Tuple[int, int]:
+    """``(compute-at candidate count, main-stage spatial iterator count)``.
+
+    Computed once per DAG instance and stored on it, like the DAG's
+    structural fingerprint: DAGs are treated as immutable once built.
+    """
+    bounds = dag.__dict__.get(_BOUNDS_ATTR)
+    if bounds is None:
+        bounds = (len(dag.compute_at_candidates()), len(dag.main_stage.spatial_iters))
+        dag.__dict__[_BOUNDS_ATTR] = bounds
+    return bounds
+
+
 def apply_action(schedule: Schedule, action: ModificationAction) -> Schedule:
     """Apply a :class:`ModificationAction` to a schedule, returning a new schedule.
 
@@ -192,11 +210,11 @@ def apply_action(schedule: Schedule, action: ModificationAction) -> Schedule:
                     new.tile_sizes[src_iter], src_level, dst_level
                 )
 
-    n_candidates = len(new.dag.compute_at_candidates())
+    n_candidates, max_parallel = _action_bounds(new.dag)
     new.compute_at_index = _clamp(
         new.compute_at_index + action.compute_at_delta, 0, n_candidates - 1
     )
-    new.num_parallel = _clamp(new.num_parallel + action.parallel_delta, 0, new.max_parallel)
+    new.num_parallel = _clamp(new.num_parallel + action.parallel_delta, 0, max_parallel)
     new.unroll_index = _clamp(
         new.unroll_index + action.unroll_delta, 0, len(new.unroll_depths) - 1
     )

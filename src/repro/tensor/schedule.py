@@ -179,14 +179,22 @@ class Schedule:
         )
 
     def copy(self) -> "Schedule":
-        return Schedule(
-            sketch=self.sketch,
-            tile_sizes=[list(sizes) for sizes in self.tile_sizes],
-            compute_at_index=self.compute_at_index,
-            num_parallel=self.num_parallel,
-            unroll_index=self.unroll_index,
-            unroll_depths=self.unroll_depths,
-        )
+        """A copy with its own tile lists, built without revalidation.
+
+        The copy trusts ``self``: a schedule is validated when it is
+        constructed, and every caller copies a valid schedule and then
+        assigns values clamped to the valid ranges.  Skipping
+        :meth:`__post_init__` matters on the search hot path, where each
+        action copies one schedule.
+        """
+        new = object.__new__(type(self))
+        new.sketch = self.sketch
+        new.tile_sizes = [list(sizes) for sizes in self.tile_sizes]
+        new.compute_at_index = self.compute_at_index
+        new.num_parallel = self.num_parallel
+        new.unroll_index = self.unroll_index
+        new.unroll_depths = self.unroll_depths
+        return new
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Schedule):

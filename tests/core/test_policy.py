@@ -1,5 +1,7 @@
 """Unit tests for the NumPy MLP and Adam optimiser."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,55 @@ class TestMultiHeadMLP:
         net = MultiHeadMLP(4, (8,), (2,), rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
             net.set_parameters(net.parameters()[:-1])
+
+    def test_set_parameters_keeps_the_optimiser_attached(self):
+        net = MultiHeadMLP(4, (8,), (2, 3), rng=np.random.default_rng(0))
+        opt = Adam(net.parameters(), lr=0.1)
+        fresh = [np.full(p.shape, 0.5) for p in net.parameters()]
+        net.set_parameters(fresh)
+        opt.step([np.ones(p.shape) for p in net.parameters()])
+        for param, value in zip(net.parameters(), fresh):
+            assert np.all(param < value)
+
+    def test_set_parameters_rejects_wrong_shapes(self):
+        net = MultiHeadMLP(4, (8,), (2, 3), rng=np.random.default_rng(0))
+        before = [p.copy() for p in net.parameters()]
+        params = [p.copy() for p in before]
+        params[0] = params[0].T
+        with pytest.raises(ValueError, match="shape"):
+            net.set_parameters(params)
+        for param, original in zip(net.parameters(), before):
+            assert np.array_equal(param, original)
+
+    @pytest.mark.parametrize("index, shape", [(1, (1,)), (1, (1, 8)), (2, ())])
+    def test_set_parameters_rejects_broadcastable_shapes(self, index, shape):
+        net = MultiHeadMLP(4, (8,), (2, 3), rng=np.random.default_rng(0))
+        before = [p.copy() for p in net.parameters()]
+        params = [p.copy() for p in before]
+        params[index] = np.ones(shape)
+        with pytest.raises(ValueError, match="shape"):
+            net.set_parameters(params)
+        for param, original in zip(net.parameters(), before):
+            assert np.array_equal(param, original)
+
+    def test_parameters_are_views_of_one_buffer(self):
+        net = MultiHeadMLP(4, (8, 8), (2, 3), rng=np.random.default_rng(0))
+        params = net.parameters()
+        assert params.flat.size == sum(p.size for p in params)
+        assert all(np.shares_memory(p, params.flat) for p in params)
+        params.flat[:] = 0.0
+        outputs, _ = net.forward(np.ones((1, 4)))
+        assert np.array_equal(outputs[0], np.zeros((1, 2)))
+
+    def test_deep_copy_keeps_network_and_optimiser_on_one_buffer(self):
+        net = MultiHeadMLP(4, (8,), (2, 3), rng=np.random.default_rng(0))
+        opt = Adam(net.parameters(), lr=0.1)
+        net_copy, opt_copy = copy.deepcopy((net, opt))
+        before = [p.copy() for p in net.parameters()]
+        opt_copy.step([np.ones(p.shape) for p in net_copy.parameters()])
+        for param, copied, original in zip(net.parameters(), net_copy.parameters(), before):
+            assert np.array_equal(param, original)
+            assert np.all(copied < original)
 
     def test_requires_at_least_one_head(self):
         with pytest.raises(ValueError):
@@ -108,6 +159,10 @@ class TestAdam:
         opt.step([np.full(3, 1e6)])
         # The clipped step is bounded by the learning rate scale.
         assert np.all(np.abs(param) < 1.0)
+
+    def test_parameters_must_share_one_buffer(self):
+        with pytest.raises(ValueError):
+            Adam([np.zeros(2), np.zeros(3)], lr=0.1)
 
     def test_mismatched_grads_rejected(self):
         opt = Adam([np.zeros(2)], lr=0.1)

@@ -63,5 +63,69 @@ class TestReplayBuffer:
             ReplayBuffer(capacity=0, state_size=2, num_heads=1)
 
 
+class _PerRowBuffer(ReplayBuffer):
+    """The buffer with a transition-at-a-time ``add``."""
+
+    def add(self, states, actions, old_log_probs, rewards, td_targets, advantages):
+        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        actions = np.atleast_2d(np.asarray(actions, dtype=np.int64))
+        for i in range(states.shape[0]):
+            idx = self._next
+            self._states[idx] = states[i]
+            self._actions[idx] = actions[i]
+            self._old_log_probs[idx] = old_log_probs[i]
+            self._rewards[idx] = rewards[i]
+            self._td_targets[idx] = td_targets[i]
+            self._advantages[idx] = advantages[i]
+            self._next = (self._next + 1) % self.capacity
+            self._size = min(self._size + 1, self.capacity)
+
+
+def _random_batch(rng, n, state_size=6, num_heads=4):
+    return (
+        rng.normal(size=(n, state_size)),
+        rng.integers(0, 9, size=(n, num_heads)),
+        rng.normal(size=n),
+        rng.normal(size=n),
+        rng.normal(size=n),
+        rng.normal(size=n),
+    )
+
+
+class TestAddEqualsPerRowLoop:
+    FIELDS = ("_states", "_actions", "_old_log_probs", "_rewards", "_td_targets", "_advantages")
+
+    # 3+4 fills 7 of 8 slots, 5 wraps around, 11 is longer than the buffer,
+    # 8 is exactly one capacity, 1 is a single transition.
+    @pytest.mark.parametrize("sizes", [(3, 4, 5), (11,), (2, 11, 3), (8, 1, 8)])
+    def test_same_contents_and_cursor(self, sizes):
+        rng = np.random.default_rng(0)
+        buf = ReplayBuffer(capacity=8, state_size=6, num_heads=4, seed=3)
+        ref = _PerRowBuffer(capacity=8, state_size=6, num_heads=4, seed=3)
+        for n in sizes:
+            batch = _random_batch(rng, n)
+            buf.add(*batch)
+            ref.add(*batch)
+            assert len(buf) == len(ref)
+            assert buf._next == ref._next
+            for name in self.FIELDS:
+                assert np.array_equal(getattr(buf, name), getattr(ref, name))
+        sample, ref_sample = buf.sample(8), ref.sample(8)
+        for key, value in sample.items():
+            assert np.array_equal(value, ref_sample[key])
+
+    def test_oversized_batch_keeps_its_last_rows_in_order(self):
+        buf = ReplayBuffer(capacity=4, state_size=1, num_heads=1)
+        buf.add(*_batch(1, state_size=1, num_heads=1, offset=-1.0))  # cursor at slot 1
+        rows = np.arange(10.0)
+        buf.add(rows[:, None], np.zeros((10, 1)), rows, rows, rows, rows)
+        assert len(buf) == 4
+        # Rows 6..9 survive, row i in slot (1 + i) % 4, so reading the ring
+        # from the cursor (slot 3) gives them oldest first.
+        assert buf._states[:, 0].tolist() == [7.0, 8.0, 9.0, 6.0]
+        assert buf._advantages.tolist() == [7.0, 8.0, 9.0, 6.0]
+        assert buf._next == 3
+
+
 def sample_size(sample):
     return sample["states"].shape[0]

@@ -35,6 +35,33 @@ class TestColdStart:
         model = ScheduleCostModel()
         assert model.predict([]).shape == (0,)
 
+    def test_features_extracted_only_for_fitted_workloads(self, rng, cpu, monkeypatch):
+        import repro.costmodel.model as model_module
+
+        model = ScheduleCostModel(min_samples=8, retrain_interval=4, seed=0)
+        sk_a = generate_sketches(gemm(128, 128, 128))[0]
+        sk_b = generate_sketches(gemm(256, 128, 128))[0]
+        s_a, t_a = _measured(sk_a, cpu, rng, 16)
+        model.update(s_a, t_a)
+        queried = sample_initial_schedules(sk_a, 3, rng)
+        cold = sample_initial_schedules(sk_b, 4, rng)
+        expected_a = model.predict(queried)
+        rng_state = model._rng.bit_generator.state
+
+        batches = []
+        real = model_module.batch_features
+        monkeypatch.setattr(
+            model_module, "batch_features", lambda s: batches.append(list(s)) or real(s)
+        )
+        scores = model.predict(cold[:2] + queried + cold[2:])
+        assert batches == [queried]
+        assert np.array_equal(scores[2:5], expected_a)
+        # The cold prior is one draw per cold schedule, in batch order.
+        prior_rng = np.random.default_rng()
+        prior_rng.bit_generator.state = rng_state
+        prior = 0.05 * prior_rng.random(4)
+        assert np.array_equal(np.concatenate([scores[:2], scores[5:]]), prior)
+
 
 class TestOnlineTraining:
     def test_becomes_trained_after_enough_samples(self, big_sketch, rng, cpu):

@@ -1,10 +1,16 @@
 """Unit tests for the modification action space (Table 3)."""
 
+import itertools
+
+import numpy as np
 import pytest
 
 from repro.tensor.actions import ActionSpace, ModificationAction, apply_action
 from repro.tensor.factors import product
-from repro.tensor.sampler import sample_schedule
+from repro.tensor.sampler import sample_initial_schedules, sample_schedule
+from repro.tensor.schedule import Schedule
+from repro.tensor.sketch import generate_sketches
+from repro.tensor.workloads import conv2d, gemm
 
 
 @pytest.fixture
@@ -138,3 +144,68 @@ class TestApplyAction:
         out = apply_action(schedule, ModificationAction(None, 0, 0, 1))
         assert out.tile_sizes == schedule.tile_sizes
         assert out.unroll_index == min(schedule.unroll_index + 1, len(schedule.unroll_depths) - 1)
+
+
+def _revalidated(schedule):
+    """``schedule`` rebuilt through ``Schedule(...)``, which validates every knob."""
+    return Schedule(
+        sketch=schedule.sketch,
+        tile_sizes=[list(sizes) for sizes in schedule.tile_sizes],
+        compute_at_index=schedule.compute_at_index,
+        num_parallel=schedule.num_parallel,
+        unroll_index=schedule.unroll_index,
+        unroll_depths=schedule.unroll_depths,
+    )
+
+
+def _with_knobs(schedule, compute_at_index, num_parallel, unroll_index):
+    return Schedule(
+        sketch=schedule.sketch,
+        tile_sizes=[list(sizes) for sizes in schedule.tile_sizes],
+        compute_at_index=compute_at_index,
+        num_parallel=num_parallel,
+        unroll_index=unroll_index,
+        unroll_depths=schedule.unroll_depths,
+    )
+
+
+class TestEveryActionKeepsSchedulesValid:
+    """``apply_action`` copies without revalidation, so its outputs must be
+    valid by construction: every head index, from random schedules and from
+    schedules with every knob at its lower or upper bound."""
+
+    @pytest.mark.parametrize(
+        "dag, sketch_key",
+        [
+            (gemm(128, 128, 128), "tiling"),
+            (conv2d(14, 14, 32, 32, 3, 1, 1), "tiling"),
+            (gemm(128, 128, 128), "tiling+fuse"),
+            (conv2d(14, 14, 32, 32, 3, 1, 1), "tiling+rfactor"),
+        ],
+        ids=["gemm", "conv2d", "gemm-fused", "conv2d-rfactor"],
+    )
+    def test_outputs_pass_construction(self, dag, sketch_key):
+        sketch = next(s for s in generate_sketches(dag) if s.key == sketch_key)
+        space = ActionSpace(sketch)
+        rng = np.random.default_rng(0)
+        sampled = sample_initial_schedules(sketch, 2, rng)
+        top_ca = len(dag.compute_at_candidates()) - 1
+        top_unroll = len(sampled[0].unroll_depths) - 1
+        schedules = sampled + [
+            _with_knobs(sampled[0], 0, 0, 0),
+            _with_knobs(sampled[1], top_ca, sampled[1].max_parallel, top_unroll),
+        ]
+        deltas = list(itertools.product(range(3), repeat=3))
+        for offset, schedule in enumerate(schedules):
+            signature = schedule.signature()
+            # Every tiling index (cycling through the delta heads), then
+            # every delta combination with the dummy tiling action.
+            indices = [
+                (tile,) + deltas[(tile + offset) % len(deltas)]
+                for tile in range(space.tiling_size)
+            ] + [(space.tiling_size - 1,) + combo for combo in deltas]
+            for index in indices:
+                out = apply_action(schedule, space.decode(index))
+                assert _revalidated(out) == out
+                assert all(a is not b for a, b in zip(out.tile_sizes, schedule.tile_sizes))
+            assert schedule.signature() == signature

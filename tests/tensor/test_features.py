@@ -6,7 +6,7 @@ from repro.tensor.actions import ActionSpace, ModificationAction, apply_action
 from repro.tensor.features import FEATURE_SIZE, batch_features, schedule_features
 from repro.tensor.sampler import sample_initial_schedules, sample_schedule
 from repro.tensor.sketch import generate_sketches
-from repro.tensor.workloads import conv3d, gemm, softmax
+from repro.tensor.workloads import conv2d, conv3d, gemm, softmax
 
 
 class TestScheduleFeatures:
@@ -69,6 +69,21 @@ class TestBatchFeatures:
         stacked = batch_features(schedules)
         for row, schedule in zip(stacked, schedules):
             assert np.array_equal(row, schedule_features(schedule))
+
+
+    def test_rows_do_not_depend_on_the_batch(self, rng):
+        # Parameter search carries a step's feature rows into the next step
+        # (dropping eliminated tracks) instead of re-extracting them.
+        schedules = []
+        for dag in (gemm(64, 64, 64), conv2d(14, 14, 32, 32, 3, 1, 1)):
+            for sketch in generate_sketches(dag):
+                schedules.extend(sample_initial_schedules(sketch, 3, rng))
+        full = batch_features(schedules)
+        keep = rng.random(len(schedules)) < 0.5
+        subset = batch_features([s for s, k in zip(schedules, keep) if k])
+        assert np.array_equal(subset, full[keep])
+        for i in (0, len(schedules) - 1):
+            assert np.array_equal(batch_features(schedules[i : i + 1])[0], full[i])
 
 
 class TestLayoutCacheAndLegacyPath:

@@ -125,6 +125,29 @@ class TestIdentity:
         clone.num_parallel = (clone.num_parallel + 1) % (clone.max_parallel + 1)
         assert clone != schedule
 
+    def test_copy_has_independent_tile_lists(self, gemm_sketch, rng):
+        schedule = sample_schedule(gemm_sketch, rng)
+        original = [list(sizes) for sizes in schedule.tile_sizes]
+        clone = schedule.copy()
+        for sizes in clone.tile_sizes:
+            sizes.append(1)
+        assert schedule.tile_sizes == original
+
+    def test_copy_trusts_its_source(self, gemm_sketch, rng):
+        # copy() skips revalidation: callers copy a valid schedule and
+        # assign clamped values (see tests/tensor/test_actions.py).
+        schedule = sample_schedule(gemm_sketch, rng)
+        schedule.compute_at_index = 99
+        assert schedule.copy().compute_at_index == 99
+        with pytest.raises(ValueError):
+            Schedule(
+                sketch=schedule.sketch,
+                tile_sizes=schedule.tile_sizes,
+                compute_at_index=99,
+                num_parallel=schedule.num_parallel,
+                unroll_index=schedule.unroll_index,
+            )
+
     def test_signature_hashable(self, gemm_sketch, rng):
         schedules = [sample_schedule(gemm_sketch, rng) for _ in range(10)]
         assert len({hash(s) for s in schedules}) >= 2

@@ -10,7 +10,9 @@ exactly here:
 
 * ``HARLScheduler(config=HARLConfig.scaled()).tune(...)`` histories for one
   GEMM and one conv2d operator (64 trials each, enough for several
-  gradient-boosted cost-model refits), and
+  gradient-boosted cost-model refits),
+* a ``FlextensorScheduler`` GEMM history: its ``FixedLengthStopper`` never
+  eliminates a track, so every step of every episode walks all tracks, and
 * the ``f(S)`` trajectory of a small two-subgraph ``NetworkTuner`` run.
 
 If a change is *meant* to alter the search numerically, regenerate the file
@@ -27,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from repro import HARLConfig, HARLScheduler, ScheduleRegistry, TuningService
+from repro.baselines.flextensor import FlextensorScheduler
 from repro.experiments.network_runner import NetworkTuner
 from repro.experiments.operator_suite import representative_dag
 from repro.networks.graph import NetworkGraph, Subgraph
@@ -42,6 +45,11 @@ NETWORK_TRIALS = 96
 def _operator_history(op_class: str):
     scheduler = HARLScheduler(config=HARLConfig.scaled(), seed=SEED)
     return scheduler.tune(representative_dag(op_class), OPERATOR_TRIALS).history
+
+
+def _flextensor_history():
+    scheduler = FlextensorScheduler(config=HARLConfig.scaled(), seed=SEED)
+    return scheduler.tune(representative_dag("GEMM-M"), OPERATOR_TRIALS).history
 
 
 def _network_trajectory():
@@ -60,6 +68,7 @@ def _network_trajectory():
 CASES = {
     "harl-GEMM-M": lambda: _operator_history("GEMM-M"),
     "harl-C2D": lambda: _operator_history("C2D"),
+    "flextensor-GEMM-M": _flextensor_history,
     "network-gemm-conv1d": _network_trajectory,
 }
 
