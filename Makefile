@@ -38,9 +38,9 @@ network-smoke:
 	$(PYTHON) -m pytest -m network_smoke tests -q
 
 ## Hot-path micro-benchmarks: emits a schema-versioned BENCH_perf.json with
-## median/p95 wall-clock, throughput and fast-vs-legacy speedup per stage,
-## and enforces the tentpole floors (feature extraction >= 3x, NetworkTuner
-## round >= 1.5x over the in-process legacy path).
+## median/p95 wall-clock and throughput per stage, plus the speedup of the
+## vectorised array stages over harness-local scalar loops, and enforces the
+## feature-extraction floor (>= 3x over stacked schedule_features).
 perf:
 	$(PYTHON) benchmarks/perf/run.py --output BENCH_perf.json --check
 
@@ -51,11 +51,10 @@ perf-gate: perf
 
 ## Million-entry registry scale benchmark: synthesises a 1M-entry v1 registry,
 ## upgrades it in place, and enforces the machine-independent speedup floors
-## (startup-to-first-hit >= 10x, batched NN scoring >= 5x over the eager /
-## per-entry v1 paths).  Emits the BENCH_scale.json artifact.
+## (startup-to-first-hit >= 10x over the eager v1 scan, batched NN scoring
+## >= 5x over a per-entry loop).  Emits the BENCH_scale.json artifact.
 perf-scale:
 	$(PYTHON) benchmarks/perf/scale.py --output BENCH_scale.json --check
-	$(PYTHON) benchmarks/perf/compare.py --scale BENCH_scale.json
 
 ## Closed-loop load benchmark against the asyncio network front end: boots a
 ## server, replays Zipf/burst multi-tenant traffic at it, writes the

@@ -6,9 +6,10 @@ this script fails (exit 1) when any stage's throughput regressed by more than
 ``--max-regression`` (default 25%) relative to
 ``benchmarks/perf/baseline.json``, or when a baseline stage disappeared.
 
-The machine-independent speedup floors (vectorised vs. in-process legacy
-path) are enforced separately by ``run.py --check``; this gate covers
-absolute throughput drift.  It also enforces the observability-layer
+The machine-independent speedup floor (vectorised feature extraction vs. a
+harness-local scalar loop) is enforced separately by ``run.py --check``, and
+the registry-scale floors by ``scale.py --check``; this gate covers absolute
+throughput drift.  It also enforces the observability-layer
 contract: the harness's ``obs_overhead`` measurement (tuning stage traced
 vs. untraced, both timed on this machine in this run) must stay within
 ``--max-obs-overhead`` (default 2%).  To refresh the baseline after an
@@ -99,25 +100,6 @@ def print_table(current: dict, baseline: dict) -> None:
         )
 
 
-#: Machine-independent speedup floors for ``BENCH_scale.json`` (``--scale``).
-#: Kept in sync with ``benchmarks/perf/scale.py``; both sides of each ratio
-#: are timed in one run, so no per-machine baseline applies.
-SCALE_FLOORS = {"startup_to_first_hit": 10.0, "batched_nn": 5.0}
-
-
-def check_scale(report: dict) -> List[str]:
-    """Failures of the registry-scale speedup floors (empty when green)."""
-    failures: List[str] = []
-    speedups = report.get("speedups", {})
-    for name, floor in SCALE_FLOORS.items():
-        value = speedups.get(name)
-        if value is None:
-            failures.append(f"scale speedup {name!r} missing from report")
-        elif value < floor:
-            failures.append(f"{name}: {value}x below the {floor}x floor")
-    return failures
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("current", type=Path, help="fresh BENCH_perf.json")
@@ -141,28 +123,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="allowed fractional slowdown of the tuning stage with "
         "instrumentation armed (default 0.02)",
     )
-    parser.add_argument(
-        "--scale",
-        action="store_true",
-        help="treat the positional file as a BENCH_scale.json report and "
-        "enforce the registry-scale speedup floors instead of the "
-        "throughput baseline",
-    )
     args = parser.parse_args(argv)
-
-    if args.scale:
-        report = load(args.current)
-        for name, floor in SCALE_FLOORS.items():
-            value = report.get("speedups", {}).get(name)
-            shown = f"{value}x" if value is not None else "missing"
-            print(f"{name:<22} {shown:>10}  (floor {floor}x)")
-        failures = check_scale(report)
-        if failures:
-            for failure in failures:
-                print(f"SCALE FLOOR FAILED: {failure}", file=sys.stderr)
-            return 1
-        print("\nscale gate passed")
-        return 0
 
     current = load(args.current)
     baseline = load(args.baseline)

@@ -8,17 +8,21 @@ lookup — and emits a
 schema-versioned ``BENCH_perf.json`` with median / p95 wall-clock and
 throughput per stage.
 
-Every vectorised stage is timed twice: once on the fast path and once under
-:func:`repro.caching.legacy_hot_path` (the pre-optimisation schedule-at-a-time
-implementation), so the reported ``speedup`` is machine-independent and the
-harness can verify the two paths produce equal results.  CI compares the
-emitted throughputs against ``benchmarks/perf/baseline.json`` via
-``compare.py`` and fails on regressions.
+The three vectorised array stages (feature extraction, batched prediction,
+the simulator) are also timed against a harness-local scalar loop: stacked
+:func:`~repro.tensor.features.schedule_features`, one ``predict`` call per
+row, and :meth:`~repro.hardware.simulator.LatencySimulator.reference_breakdown`.
+That timing is reported as ``reference_median_s`` and the ratio as
+``speedup``, which is machine-independent because both sides run in the same
+process on the same data; the harness also verifies that both sides produce
+equal results.  CI compares the emitted throughputs against
+``benchmarks/perf/baseline.json`` via ``compare.py`` and fails on
+regressions.
 
 Usage::
 
     python benchmarks/perf/run.py --output BENCH_perf.json
-    python benchmarks/perf/run.py --check     # also enforce speedup floors
+    python benchmarks/perf/run.py --check     # also enforce the speedup floor
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 import numpy as np
 
 from repro import obs
-from repro.caching import cache_stats, clear_caches, legacy_hot_path, reset_cache_stats
+from repro.caching import cache_stats, clear_caches, reset_cache_stats
 from repro.core.actor_critic import PPOAgent
 from repro.core.config import HARLConfig
 from repro.costmodel.model import ScheduleCostModel
@@ -51,15 +55,15 @@ from repro.records import schedule_to_dict
 from repro.serving.fingerprint import structural_fingerprint, workload_embedding
 from repro.serving.registry import RegistryEntry, ScheduleRegistry
 from repro.serving.service import TuningService
-from repro.tensor.features import FEATURE_SIZE, batch_features
+from repro.tensor.features import FEATURE_SIZE, batch_features, schedule_features
 from repro.tensor.sampler import sample_initial_schedules
 from repro.tensor.sketch import generate_sketches
 from repro.tensor.workloads import conv1d, gemm
 
 SCHEMA_VERSION = 1
 
-#: Speedup floors the tentpole must demonstrate (enforced by ``--check``).
-SPEEDUP_FLOORS = {"feature_extraction": 3.0, "tuning_round": 1.5}
+#: Speedup floors over the scalar reference loop (enforced by ``--check``).
+SPEEDUP_FLOORS = {"feature_extraction": 3.0}
 
 
 # --------------------------------------------------------------------- #
@@ -86,7 +90,7 @@ def _stage(
     samples: List[float],
     items: int,
     unit: str,
-    legacy_samples: Optional[List[float]] = None,
+    reference_samples: Optional[List[float]] = None,
 ) -> Dict[str, object]:
     median = statistics.median(samples)
     entry: Dict[str, object] = {
@@ -96,12 +100,12 @@ def _stage(
         "throughput": items / median if median > 0 else float("inf"),
         "unit": unit,
     }
-    if legacy_samples is not None:
-        legacy_median = statistics.median(legacy_samples)
-        entry["legacy_median_s"] = legacy_median
-        entry["speedup"] = legacy_median / median if median > 0 else float("inf")
+    if reference_samples is not None:
+        reference_median = statistics.median(reference_samples)
+        entry["reference_median_s"] = reference_median
+        entry["speedup"] = reference_median / median if median > 0 else float("inf")
     else:
-        entry["legacy_median_s"] = None
+        entry["reference_median_s"] = None
         entry["speedup"] = None
     print(
         f"  {name:<22} median {median * 1e3:9.3f} ms   "
@@ -160,14 +164,16 @@ def _toy_network(name: str = "perf_net") -> NetworkGraph:
 # --------------------------------------------------------------------- #
 def bench_feature_extraction(repeats: int, batch: int) -> Dict[str, object]:
     schedules = _schedule_batch(batch)
+
+    def stacked():
+        return np.stack([schedule_features(schedule) for schedule in schedules])
+
     fast = _time(lambda: batch_features(schedules), repeats)
-    with legacy_hot_path():
-        legacy = _time(lambda: batch_features(schedules), repeats)
-        reference = batch_features(schedules)
-    if not np.array_equal(batch_features(schedules), reference):
+    reference = _time(stacked, repeats)
+    if not np.array_equal(batch_features(schedules), stacked()):
         raise AssertionError("vectorised features differ from the serial reference")
     return _stage(
-        "feature_extraction", fast, len(schedules), "schedules/s", legacy
+        "feature_extraction", fast, len(schedules), "schedules/s", reference
     )
 
 
@@ -180,15 +186,14 @@ def bench_batched_prediction(repeats: int, batch: int) -> Dict[str, object]:
     latencies = simulator.batch_latency(train)
     model.update(train, [s.dag.flops / lat for s, lat in zip(train, latencies)])
 
+    def per_row():
+        return np.concatenate([model.predict([schedule]) for schedule in schedules])
+
     fast = _time(lambda: model.predict(schedules), repeats)
-    with legacy_hot_path():
-        legacy = _time(
-            lambda: [model.predict([schedule]) for schedule in schedules], repeats
-        )
-        reference = np.concatenate([model.predict([schedule]) for schedule in schedules])
-    if not np.array_equal(model.predict(schedules), reference):
+    reference = _time(per_row, repeats)
+    if not np.array_equal(model.predict(schedules), per_row()):
         raise AssertionError("batched predictions differ from the per-row reference")
-    return _stage("batched_prediction", fast, len(schedules), "schedules/s", legacy)
+    return _stage("batched_prediction", fast, len(schedules), "schedules/s", reference)
 
 
 def bench_sampler(repeats: int, batch: int) -> Dict[str, object]:
@@ -209,17 +214,19 @@ def bench_sampler(repeats: int, batch: int) -> Dict[str, object]:
 def bench_simulator(repeats: int, batch: int) -> Dict[str, object]:
     schedules = _schedule_batch(batch)
     simulator = LatencySimulator(cpu_target())
+
+    def scalar():
+        return np.array([simulator.reference_breakdown(s).latency for s in schedules])
+
     fast = _time(lambda: simulator.batch_latency(schedules), repeats)
-    with legacy_hot_path():
-        legacy = _time(lambda: simulator.batch_latency(schedules), repeats)
-        reference = simulator.batch_latency(schedules)
+    reference = _time(scalar, repeats)
     # The documented contract is agreement to floating-point rounding
     # (tests pin rtol=1e-9); on this repo's reference platform the paths are
     # bit-identical, but a NumPy build with SIMD transcendental dispatch may
     # legitimately differ in the last ulp.
-    if not np.allclose(simulator.batch_latency(schedules), reference, rtol=1e-9, atol=0.0):
+    if not np.allclose(simulator.batch_latency(schedules), scalar(), rtol=1e-9, atol=0.0):
         raise AssertionError("vectorised simulator differs from the serial reference")
-    return _stage("simulator_batch", fast, len(schedules), "schedules/s", legacy)
+    return _stage("simulator_batch", fast, len(schedules), "schedules/s", reference)
 
 
 def bench_ppo_update(repeats: int, updates: int) -> Dict[str, object]:
@@ -259,16 +266,8 @@ def _run_network_tuning(n_trials: int) -> float:
 
 
 def bench_tuning_round(repeats: int, n_trials: int) -> Dict[str, object]:
-    fast = _time(lambda: _run_network_tuning(n_trials), repeats, warmup=1)
-    fast_result = _run_network_tuning(n_trials)
-    with legacy_hot_path():
-        legacy = _time(lambda: _run_network_tuning(n_trials), repeats, warmup=0)
-        legacy_result = _run_network_tuning(n_trials)
-    if not np.isclose(fast_result, legacy_result, rtol=1e-9):
-        raise AssertionError(
-            f"fast/legacy tuning results diverged: {fast_result} vs {legacy_result}"
-        )
-    return _stage("tuning_round", fast, n_trials, "trials/s", legacy)
+    samples = _time(lambda: _run_network_tuning(n_trials), repeats, warmup=1)
+    return _stage("tuning_round", samples, n_trials, "trials/s")
 
 
 def bench_obs_overhead(repeats: int, n_trials: int) -> Dict[str, object]:
@@ -343,10 +342,7 @@ def bench_registry_warm_start(repeats: int, lookups: int) -> Dict[str, object]:
                 )
         return out
 
-    fast = _time(run, repeats, warmup=2)
-    with legacy_hot_path():
-        legacy = _time(run, repeats)
-    return _stage("registry_warm_start", fast, lookups, "lookups/s", legacy)
+    return _stage("registry_warm_start", _time(run, repeats, warmup=2), lookups, "lookups/s")
 
 
 # --------------------------------------------------------------------- #
@@ -387,7 +383,7 @@ def run_harness(repeats: int, batch: int, n_trials: int) -> Dict[str, object]:
 
 
 def check_speedups(payload: Dict[str, object]) -> List[str]:
-    """Violations of the tentpole speedup floors (empty list when green)."""
+    """Violations of the speedup floors (empty list when green)."""
     failures = []
     for stage, floor in SPEEDUP_FLOORS.items():
         speedup = payload["stages"][stage]["speedup"]
@@ -416,8 +412,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="fail unless the tentpole speedup floors hold "
-        "(feature extraction >= 3x, tuning round >= 1.5x)",
+        help="fail unless the speedup floor holds "
+        "(feature extraction >= 3x over stacked schedule_features)",
     )
     parser.add_argument(
         "--metrics-output",

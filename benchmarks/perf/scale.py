@@ -11,8 +11,8 @@ attacks:
   a full parse of every shard; the v2 layout (produced in place by
   ``compact()``) reads the manifest plus one index sidecar.
 * **batched nearest-neighbour scoring** — steady-state ``lookup(dag, target,
-  k=8)`` over the per-target embedding matrix, vectorised vs. the per-entry
-  reference loop under :func:`repro.caching.legacy_hot_path`.
+  k=8)`` over the per-target embedding matrix, vectorised vs. a harness-local
+  loop that scores the synthesised embeddings one entry at a time.
 
 Both reported speedups are machine-independent (both sides of each ratio are
 timed in the same process on the same data), so ``--check`` enforces the
@@ -35,7 +35,7 @@ import tempfile
 import time
 import zlib
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 if str(REPO_ROOT / "src") not in sys.path:
@@ -43,14 +43,18 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 import numpy as np
 
-from repro.caching import legacy_hot_path
-from repro.serving.fingerprint import EMBEDDING_SIZE, structural_fingerprint
+from repro.serving.fingerprint import (
+    EMBEDDING_SIZE,
+    embedding_distance,
+    structural_fingerprint,
+    workload_embedding,
+)
 from repro.serving.registry import ScheduleRegistry
 from repro.tensor.workloads import gemm
 
 SCHEMA_VERSION = 1
 
-#: Machine-independent speedup floors (also enforced by ``compare.py --scale``).
+#: Machine-independent speedup floors (enforced by ``--check``).
 SCALE_FLOORS = {"startup_to_first_hit": 10.0, "batched_nn": 5.0}
 
 QUERY_TARGET = "sim-cpu"
@@ -59,13 +63,17 @@ QUERY_TARGET = "sim-cpu"
 # --------------------------------------------------------------------- #
 # synthetic registry
 # --------------------------------------------------------------------- #
-def synthesise_v1(root: Path, entries: int, shards: int, targets: int, seed: int) -> str:
+def synthesise_v1(
+    root: Path, entries: int, shards: int, targets: int, seed: int
+) -> Tuple[str, List[Tuple[str, np.ndarray]]]:
     """Write a v1-layout registry (plain JSONL shards, no manifest/sidecars).
 
     Returns the fingerprint of the entry used for the exact-lookup probes
-    (chosen so it lives on ``{QUERY_TARGET}``).  Lines are written with the
-    exact sharding function the registry uses, so reopening the directory
-    with the same shard count finds every key on its home shard.
+    (chosen so it lives on ``{QUERY_TARGET}``) and the ``(fingerprint,
+    embedding)`` rows of every ``{QUERY_TARGET}`` entry, for the reference
+    nearest-neighbour loop.  Lines are written with the exact sharding
+    function the registry uses, so reopening the directory with the same
+    shard count finds every key on its home shard.
     """
     root.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -77,13 +85,15 @@ def synthesise_v1(root: Path, entries: int, shards: int, targets: int, seed: int
         (root / f"shard-{i:02d}.jsonl").open("w", encoding="utf-8")
         for i in range(shards)
     ]
-    probe = ""
+    query_fps: List[str] = []
+    query_rows: List[int] = []
     try:
         for i in range(entries):
             fingerprint = f"scale-{i:07d}"
             target = target_names[i % targets]
-            if not probe and target == QUERY_TARGET:
-                probe = fingerprint
+            if target == QUERY_TARGET:
+                query_fps.append(fingerprint)
+                query_rows.append(i)
             line = json.dumps(
                 {
                     "fingerprint": fingerprint,
@@ -103,7 +113,8 @@ def synthesise_v1(root: Path, entries: int, shards: int, targets: int, seed: int
     finally:
         for fh in handles:
             fh.close()
-    return probe
+    # emb[query_rows] is a compact copy: the full matrix is freed on return.
+    return query_fps[0], list(zip(query_fps, emb[query_rows]))
 
 
 # --------------------------------------------------------------------- #
@@ -124,33 +135,43 @@ def time_startup_to_first_hit(
     return elapsed, indexed
 
 
-def time_nn(root: Path, shards: int, repeats: int, legacy_repeats: int) -> Dict:
-    """Steady-state k=8 nearest-neighbour lookups, vectorised vs. legacy."""
+def nearest_per_entry(
+    rows: Sequence[Tuple[str, np.ndarray]], query: np.ndarray, k: int
+) -> List[Tuple[float, str]]:
+    """Reference k-NN: one :func:`embedding_distance` per entry, then a full sort.
+
+    Ties break on fingerprint, like the registry's row order.
+    """
+    return sorted((embedding_distance(query, emb), fp) for fp, emb in rows)[:k]
+
+
+def time_nn(
+    root: Path, shards: int, repeats: int, rows: Sequence[Tuple[str, np.ndarray]]
+) -> Dict:
+    """Steady-state k=8 nearest-neighbour lookups vs. the per-entry loop."""
     registry = ScheduleRegistry(root, num_shards=shards)
     dag = gemm(256, 256, 256)
     structural_fingerprint(dag)  # memoised: keep it out of the timed region
+    query = workload_embedding(dag)
     registry.lookup(dag, QUERY_TARGET, k=8)  # warm: index + target matrix
     fast: List[float] = []
+    slow: List[float] = []
     for _ in range(repeats):
         began = time.perf_counter()
         result = registry.lookup(dag, QUERY_TARGET, k=8)
         fast.append(time.perf_counter() - began)
-    slow: List[float] = []
-    with legacy_hot_path():
-        registry.lookup(dag, QUERY_TARGET, k=8)  # warm the reference path
-        for _ in range(legacy_repeats):
-            began = time.perf_counter()
-            legacy = registry.lookup(dag, QUERY_TARGET, k=8)
-            slow.append(time.perf_counter() - began)
+        began = time.perf_counter()
+        reference = nearest_per_entry(rows, query, k=8)
+        slow.append(time.perf_counter() - began)
     equal = [
         (round(d, 9), e.fingerprint) for d, e in result.neighbors
-    ] == [(round(d, 9), e.fingerprint) for d, e in legacy.neighbors]
+    ] == [(round(d, 9), fp) for d, fp in reference]
     registry.close()
     if not equal:
-        raise SystemExit("scale harness defect: vectorised and legacy NN disagree")
+        raise SystemExit("scale harness defect: vectorised and per-entry NN disagree")
     return {
         "vector_seconds": min(fast),
-        "legacy_seconds": min(slow),
+        "reference_seconds": min(slow),
         "neighbors": len(result.neighbors),
     }
 
@@ -165,7 +186,9 @@ def run(args) -> Dict:
         print(f"synthesising v1 registry: {args.entries} entries, "
               f"{args.shards} shards, {args.targets} targets ...")
         began = time.perf_counter()
-        probe = synthesise_v1(root, args.entries, args.shards, args.targets, args.seed)
+        probe, rows = synthesise_v1(
+            root, args.entries, args.shards, args.targets, args.seed
+        )
         synth_seconds = time.perf_counter() - began
         print(f"  wrote {sum(f.stat().st_size for f in root.iterdir()) >> 20} MiB "
               f"in {synth_seconds:.1f}s")
@@ -194,14 +217,14 @@ def run(args) -> Dict:
                 f"scale harness defect: an exact v2 lookup indexed {lazy_indexed} shards"
             )
 
-        nn = time_nn(root, args.shards, args.repeats, args.legacy_repeats)
+        nn = time_nn(root, args.shards, args.repeats, rows)
         print(f"nearest(k=8) steady-state: vectorised {nn['vector_seconds']*1e3:.2f}ms, "
-              f"legacy {nn['legacy_seconds']*1e3:.1f}ms")
+              f"per-entry {nn['reference_seconds']*1e3:.1f}ms")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
     startup_speedup = eager_seconds / max(lazy_seconds, 1e-9)
-    nn_speedup = nn["legacy_seconds"] / max(nn["vector_seconds"], 1e-9)
+    nn_speedup = nn["reference_seconds"] / max(nn["vector_seconds"], 1e-9)
     return {
         "schema_version": SCHEMA_VERSION,
         "config": {
@@ -221,7 +244,7 @@ def run(args) -> Dict:
                 "indexed_shards": lazy_indexed,
             },
             "nearest_vectorised": {"seconds": nn["vector_seconds"]},
-            "nearest_legacy": {"seconds": nn["legacy_seconds"]},
+            "nearest_reference": {"seconds": nn["reference_seconds"]},
         },
         "speedups": {
             "startup_to_first_hit": round(startup_speedup, 2),
@@ -238,9 +261,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--targets", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--repeats", type=int, default=5,
-                        help="vectorised NN timing repeats (min is reported)")
-    parser.add_argument("--legacy-repeats", type=int, default=3,
-                        help="legacy NN timing repeats (min is reported)")
+                        help="NN timing repeats per side (min is reported)")
     parser.add_argument("--output", type=Path, default=Path("BENCH_scale.json"))
     parser.add_argument("--check", action="store_true",
                         help="fail unless both speedup floors hold")

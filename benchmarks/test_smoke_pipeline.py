@@ -52,7 +52,7 @@ def test_smoke_records_roundtrip_and_resume(tmp_path):
             dag, _SMOKE_TRIALS
         )
     loaded = RecordStore.load(path)
-    assert len(loaded.measures(dag.name)) == first.trials_used
+    assert len(loaded.query(kind="measure", workload=dag.name)) == first.trials_used
 
     second = (
         HARLScheduler(config=cfg, seed=1)

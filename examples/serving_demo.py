@@ -81,7 +81,7 @@ def main() -> int:
 
     # --- batch 3: a similar workload transfers a warm start -------------- #
     relative = gemm(192, 128, 128, name="alice_gemm_big")
-    neighbors = registry.nearest(relative, service.target, k=1)
+    neighbors = registry.lookup(relative, service.target, k=1).neighbors
     if neighbors:
         distance, entry = neighbors[0]
         print(f"nearest relative of {relative.name}: {entry.workload} "

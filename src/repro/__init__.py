@@ -24,7 +24,6 @@ from repro.caching import (
     cached_lowering,
     cached_sketches,
     clear_caches,
-    legacy_hot_path,
     reset_cache_stats,
 )
 from repro.core import HARLConfig, HARLScheduler, TuningResult
@@ -85,7 +84,6 @@ __all__ = [
     "cached_lowering",
     "cached_sketches",
     "clear_caches",
-    "legacy_hot_path",
     "load_records",
     "reset_cache_stats",
     "save_records",

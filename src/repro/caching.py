@@ -30,20 +30,14 @@ All counters are exposed through :func:`cache_stats` and reset with
 :func:`reset_cache_stats`; the perf harness (``make perf``) records them in
 ``BENCH_perf.json`` and regression tests assert that one tuning round
 performs zero duplicate lowerings / sketch generations.
-
-The :func:`legacy_hot_path` context manager disables every fast path at once
-(memoisation here, vectorised feature extraction, the batched simulator), so
-benchmarks can measure the pre-optimisation baseline in-process and
-equivalence tests can compare the two implementations.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, TypeVar
+from typing import Callable, Dict, Hashable, List, Optional, TypeVar
 
 from repro.obs.metrics import register_collector as _register_collector
 
@@ -59,42 +53,9 @@ __all__ = [
     "cache_stats",
     "reset_cache_stats",
     "clear_caches",
-    "hot_path_enabled",
-    "legacy_hot_path",
 ]
 
 T = TypeVar("T")
-
-
-# --------------------------------------------------------------------- #
-# legacy switch
-# --------------------------------------------------------------------- #
-_legacy_depth = 0
-_legacy_lock = threading.Lock()
-
-
-def hot_path_enabled() -> bool:
-    """Whether the vectorised/memoised fast paths are active (the default)."""
-    return _legacy_depth == 0
-
-
-@contextmanager
-def legacy_hot_path() -> Iterator[None]:
-    """Disable every fast path (caches, vectorised features, batched simulator).
-
-    Used by the perf harness to time the pre-optimisation baseline and by
-    equivalence tests to compare the serial and vectorised implementations.
-    Nestable and exception-safe; affects the whole process, so do not wrap
-    concurrent tuning work in it.
-    """
-    global _legacy_depth
-    with _legacy_lock:
-        _legacy_depth += 1
-    try:
-        yield
-    finally:
-        with _legacy_lock:
-            _legacy_depth -= 1
 
 
 # --------------------------------------------------------------------- #
@@ -140,17 +101,12 @@ class MemoCache:
     ``get_or_create`` is the only lookup API: a hit returns the identical
     stored object (and refreshes its LRU position), a miss invokes the
     factory and stores the result, evicting the least-recently-used entry
-    beyond ``maxsize``.  While :func:`legacy_hot_path` is active the cache is
-    bypassed entirely — the factory runs every time and no counters move —
-    so baseline timings see the uncached cost.
+    beyond ``maxsize``.
 
     ``on_evict`` (when given) is called with every value the cache lets go
     of — LRU evictions, ``invalidate``, ``clear``, and the loser of a
     concurrent-create race — which lets the cache manage values that own a
-    resource (the registry's open shard handles).  Such resource caches pass
-    ``legacy_bypass=False``: bypassing an LRU of *handles* would leak a file
-    descriptor per lookup, and the legacy switch is about measuring
-    memoisation wins, not about breaking resource pooling.
+    resource (the registry's open shard handles).
     """
 
     def __init__(
@@ -158,7 +114,6 @@ class MemoCache:
         name: str,
         maxsize: int = 1024,
         on_evict: Optional[Callable[[object], None]] = None,
-        legacy_bypass: bool = True,
     ):
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
@@ -167,7 +122,6 @@ class MemoCache:
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = threading.Lock()
         self._on_evict = on_evict
-        self._legacy_bypass = bool(legacy_bypass)
 
     @property
     def name(self) -> str:
@@ -178,8 +132,6 @@ class MemoCache:
             self._on_evict(value)
 
     def get_or_create(self, key: Hashable, factory: Callable[[], T]) -> T:
-        if self._legacy_bypass and not hot_path_enabled():
-            return factory()
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)

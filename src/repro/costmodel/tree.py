@@ -26,8 +26,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.caching import hot_path_enabled
-
 __all__ = ["PackedTrees", "RegressionTree"]
 
 
@@ -163,7 +161,6 @@ class RegressionTree:
         values: list = []
         XT = np.ascontiguousarray(X.T)
         goes_left = np.zeros(X.shape[0], dtype=bool)
-        presorted = hot_path_enabled()
         self._depth = 0
         # (rows, order, depth, the parent's child list to link into, parent)
         stack = [(np.arange(X.shape[0]), np.argsort(XT, axis=1, kind="stable"), 0, None, -1)]
@@ -187,10 +184,7 @@ class RegressionTree:
                 or np.all(np.abs(y_node - y_node[0]) <= 1e-8 + 1e-5 * abs(y_node[0]))
             ):
                 continue
-            if presorted:
-                feature, threshold, gain = self._best_split(XT, y, y_node, total_sum, order)
-            else:
-                feature, threshold, gain = self._best_split_reference(X[rows], y_node)
+            feature, threshold, gain = self._best_split(XT, y, y_node, total_sum, order)
             if feature < 0 or gain < self.min_gain:
                 continue
 
@@ -231,8 +225,8 @@ class RegressionTree:
         together (one ``(K, n)`` pass instead of ``K`` per-feature sorts).
         ``y_node`` is the node's targets in row order and ``total_sum`` their
         sum.  Sums, gains, validity masks and the first-maximum tie-breaking
-        replicate :meth:`_best_split_reference` bit for bit, so both
-        implementations grow identical trees.
+        replicate a per-feature sort-and-scan of the node's rows bit for bit
+        (the per-node oracle in the tree tests), so both grow identical trees.
         """
         n_samples = order.shape[1]
         total_sq = float((y_node * y_node).sum())
@@ -274,52 +268,3 @@ class RegressionTree:
         idx = lo + int(col_best[k])
         threshold = float((v_sorted[k, idx] + v_sorted[k, idx + 1]) / 2.0)
         return int(features[k]), threshold, float(col_gain[k])
-
-    def _best_split_reference(self, X: np.ndarray, y: np.ndarray):
-        """Per-feature reference split search (the pre-overhaul implementation)."""
-        n_samples, n_features = X.shape
-        total_sum = float(np.sum(y))
-        total_sq = float(np.sum(y * y))
-        base_sse = total_sq - total_sum * total_sum / n_samples
-
-        features = self._candidate_features(n_features)
-
-        best_feature, best_threshold, best_gain = -1, 0.0, 0.0
-        for feature in features:
-            values = X[:, feature]
-            order = np.argsort(values, kind="mergesort")
-            v_sorted = values[order]
-            y_sorted = y[order]
-
-            left_count = np.arange(1, n_samples)
-            left_sum = np.cumsum(y_sorted)[:-1]
-            left_sq = np.cumsum(y_sorted * y_sorted)[:-1]
-            right_count = n_samples - left_count
-            right_sum = total_sum - left_sum
-            right_sq = total_sq - left_sq
-
-            sse = (
-                left_sq
-                - left_sum * left_sum / left_count
-                + right_sq
-                - right_sum * right_sum / right_count
-            )
-            gains = base_sse - sse
-
-            # Valid split positions: both children big enough and distinct
-            # adjacent feature values (otherwise the threshold is degenerate).
-            valid = (
-                (left_count >= self.min_samples_leaf)
-                & (right_count >= self.min_samples_leaf)
-                & (v_sorted[:-1] < v_sorted[1:])
-            )
-            if not np.any(valid):
-                continue
-            gains = np.where(valid, gains, -np.inf)
-            idx = int(np.argmax(gains))
-            if gains[idx] > best_gain:
-                best_gain = float(gains[idx])
-                best_feature = int(feature)
-                best_threshold = float((v_sorted[idx] + v_sorted[idx + 1]) / 2.0)
-
-        return best_feature, best_threshold, best_gain

@@ -10,10 +10,10 @@ for the serial :class:`~repro.hardware.measurer.Measurer`:
   batch is fanned out, so each task is a pure function of its inputs and
   results do not depend on worker count or completion order.
 * **Atomic batch commits** — workers only evaluate the pure
-  :func:`~repro.hardware.measurer.simulate_measurement` function; all
-  statistics (trial counters, best-per-workload, progress history) are
-  folded in by the inherited ``_commit_batch`` in submission order, exactly
-  as a serial run would.
+  :func:`~repro.hardware.measurer.simulate_measurement_batch` function on
+  their span of the batch; all statistics (trial counters, best-per-workload,
+  progress history) are folded in by the inherited ``_commit_batch`` in
+  submission order, exactly as a serial run would.
 
 With a fixed seed, ``ParallelMeasurer(target, num_workers=4)`` therefore
 produces bit-identical latencies, histories and trial accounting to

@@ -24,8 +24,8 @@ algorithms face the same kind of optimisation problem.
 Two implementations share the model:
 
 * :meth:`LatencySimulator.reference_breakdown` — the scalar reference, one
-  schedule at a time (kept as the baseline for benchmarks and equivalence
-  tests);
+  schedule at a time (the oracle of the equivalence tests and the baseline
+  the perf harness times the batch path against);
 * :meth:`LatencySimulator.batch_latency` / :meth:`batch_breakdown` — the
   vectorised path: the batch is grouped by sketch, sketch-static quantities
   are computed once per group (and memoised on the sketch), and every
@@ -46,7 +46,6 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.caching import hot_path_enabled
 from repro.hardware.target import HardwareTarget
 from repro.tensor.dag import DTYPE_BYTES
 from repro.tensor.factors import product
@@ -204,8 +203,6 @@ class LatencySimulator:
 
     def breakdown(self, schedule: Schedule) -> SimulationBreakdown:
         """Full per-component timing decomposition of one schedule."""
-        if not hot_path_enabled():
-            return self.reference_breakdown(schedule)
         return self.batch_breakdown([schedule])[0]
 
     # ------------------------------------------------------------------ #
@@ -220,11 +217,6 @@ class LatencySimulator:
         """
         if not schedules:
             return np.zeros(0, dtype=np.float64)
-        if not hot_path_enabled():
-            return np.array(
-                [self.reference_breakdown(s).latency for s in schedules],
-                dtype=np.float64,
-            )
         out = np.zeros(len(schedules), dtype=np.float64)
         for sketch, rows in self._groups(schedules):
             comp = self._batch_components(sketch, [schedules[i] for i in rows])
@@ -467,9 +459,9 @@ class LatencySimulator:
         """Scalar reference decomposition of one schedule.
 
         This is the original schedule-at-a-time implementation, kept as the
-        baseline the perf harness times under :func:`~repro.caching.legacy_hot_path`
-        and as the oracle the serial-vs-vectorised equivalence tests compare
-        :meth:`batch_latency` against.
+        oracle the serial-vs-vectorised equivalence tests compare
+        :meth:`batch_latency` against and as the baseline the perf harness
+        times it against.
         """
         target = self.target
         dag = schedule.dag

@@ -26,7 +26,6 @@ import io
 import json
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator, List, Optional, Sequence, Tuple, Union
@@ -172,7 +171,7 @@ class TuningRecord:
 
         ``check_workload=False`` skips the display-name check for callers
         that already matched identity structurally (e.g. via
-        :meth:`RecordStore.results_for`).
+        ``RecordStore.query(kind="result", dag=...)``).
         """
         if self.schedule is None:
             raise ValueError(f"record for {self.workload!r} holds no schedule")
@@ -547,75 +546,6 @@ class RecordStore:
         if best:
             return min(matching, key=lambda r: r.latency) if matching else None
         return matching
-
-    # -- deprecated accessor shims (all delegate to :meth:`query`) ----- #
-    def measures(self, workload: Optional[str] = None) -> List[MeasureRecord]:
-        """Deprecated: use :meth:`query` (``kind="measure"``)."""
-        warnings.warn(
-            "RecordStore.measures() is deprecated; use query(kind='measure')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query(kind="measure", workload=workload)
-
-    def measures_for(self, dag: ComputeDAG) -> List[MeasureRecord]:
-        """Deprecated: use :meth:`query` (``kind="measure", dag=...``)."""
-        warnings.warn(
-            "RecordStore.measures_for() is deprecated; use query(kind='measure', dag=dag)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query(kind="measure", dag=dag)
-
-    def results_for(self, dag: ComputeDAG) -> List[TuningRecord]:
-        """Deprecated: use :meth:`query` (``kind="result", dag=...``)."""
-        warnings.warn(
-            "RecordStore.results_for() is deprecated; use query(kind='result', dag=dag)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query(kind="result", dag=dag)
-
-    def results(self, workload: Optional[str] = None) -> List[TuningRecord]:
-        """Deprecated: use :meth:`query` (``kind="result"``)."""
-        warnings.warn(
-            "RecordStore.results() is deprecated; use query(kind='result')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query(kind="result", workload=workload)
-
-    def best_measure(self, workload: str) -> MeasureRecord:
-        """Deprecated: use :meth:`query` (``kind="measure", best=True``)."""
-        warnings.warn(
-            "RecordStore.best_measure() is deprecated; use "
-            "query(kind='measure', workload=..., best=True)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        best = self.query(kind="measure", workload=workload, best=True)
-        if best is None:
-            raise KeyError(f"no measurements for workload {workload!r}")
-        return best
-
-    def best_latency(self, workload: str) -> float:
-        """Deprecated: derive from :meth:`query` with ``best=True``.
-
-        Best latency seen for a workload across measures and results.
-        """
-        warnings.warn(
-            "RecordStore.best_latency() is deprecated; use "
-            "query(..., best=True) per record kind",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        candidates = [
-            r.latency
-            for kind in ("measure", "result")
-            for r in (self.query(kind=kind, workload=workload, best=True),)
-            if r is not None
-        ]
-        return min(candidates) if candidates else float("inf")
 
     def workloads(self) -> List[str]:
         """Sorted names of all workloads that appear in the store."""

@@ -53,7 +53,7 @@ EMBEDDING_SIZE = _MAX_SPATIAL + _MAX_REDUCTION + 10
 
 # Instance-level memo, same idiom as the fingerprint cache on ComputeDAG:
 # DAGs are structurally immutable after construction, and the embedding is
-# recomputed for every measurement record and nearest() query otherwise.
+# recomputed for every measurement record and neighbour lookup otherwise.
 _EMBEDDING_ATTR = "_workload_embedding_cache"
 
 
@@ -67,9 +67,9 @@ def workload_embedding(dag: ComputeDAG) -> np.ndarray:
     Invariant under renaming (it reads only extents, kinds and aggregate
     statistics); close workloads — same operator family at nearby shapes —
     land close in Euclidean distance, which is what
-    :meth:`~repro.serving.registry.ScheduleRegistry.nearest` exploits for
-    transfer warm starts.  Memoised per DAG instance (callers must not
-    mutate the returned array).
+    :meth:`~repro.serving.registry.ScheduleRegistry.lookup` ranks neighbours
+    by for transfer warm starts.  Memoised per DAG instance (callers must
+    not mutate the returned array).
     """
     cached = dag.__dict__.get(_EMBEDDING_ATTR)
     if cached is not None:

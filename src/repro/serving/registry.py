@@ -39,9 +39,10 @@ Reuse model
 structural hit, the ``k`` nearest same-target neighbours and (on request)
 ranked cross-target transfer candidates in one :class:`LookupResult`.
 Nearest-neighbour scoring keeps a contiguous per-target NumPy matrix of the
-stored workload embeddings and ranks all candidates in one vectorised pass
-(the legacy per-entry loop remains behind
-:func:`~repro.caching.legacy_hot_path` for A/B measurement).
+stored workload embeddings and ranks all candidates in one vectorised pass.
+Entries whose embedding is missing or not
+:data:`~repro.serving.fingerprint.EMBEDDING_SIZE` wide (imports from a
+foreign writer) stay out of that matrix and match only by exact fingerprint.
 :meth:`warm_start_schedules` packages lookup results into ready-to-measure
 :class:`~repro.tensor.schedule.Schedule` objects (tile sizes are re-fitted
 to the new extents when the relative's shape differs).
@@ -56,12 +57,6 @@ rounded to the destination ``vector_width``, register/L1 working set shrunk
 to its cache capacities, and the unroll depth mapped onto the destination's
 candidate list.  Results recorded after a cross-target warm start carry the
 donor target in their provenance (``RegistryEntry.donor_target``).
-
-Deprecated surface
-------------------
-``get()`` / ``nearest()`` / ``cross_target_candidates()`` survive as thin
-wrappers over :meth:`lookup`'s internals and emit ``DeprecationWarning``;
-new code should call :meth:`lookup`.
 """
 
 from __future__ import annotations
@@ -71,7 +66,6 @@ import os
 import sys
 import threading
 import time
-import warnings
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -79,7 +73,7 @@ from typing import IO, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.caching import MemoCache, cached_sketches, hot_path_enabled
+from repro.caching import MemoCache, cached_sketches
 from repro.faults.plan import poll as poll_fault
 from repro.hardware.catalog import default_catalog, target_distance
 from repro.jsonl import repair_torn_tail
@@ -87,7 +81,7 @@ from repro.hardware.target import HardwareTarget
 from repro.obs.metrics import counter, histogram
 from repro.obs.trace import span as obs_span
 from repro.serving.fingerprint import (
-    embedding_distance,
+    EMBEDDING_SIZE,
     structural_fingerprint,
     workload_embedding,
 )
@@ -346,11 +340,9 @@ class _TargetMatrix:
     """Contiguous embedding matrix of one target's index entries.
 
     Rows are sorted by fingerprint so a stable row order doubles as the
-    distance tie-break; ``extras`` holds entries without embeddings (they
-    only ever match by exact fingerprint).  ``embeddings`` is ``None`` when
-    the stored embedding dimensions are inconsistent — queries then fall
-    back to the per-entry reference loop (which raises on the mismatch,
-    exactly like the pre-vectorised code).
+    distance tie-break.  ``extras`` holds entries whose embedding is missing
+    or not :data:`EMBEDDING_SIZE` wide: they only ever match by exact
+    fingerprint.
     """
 
     __slots__ = (
@@ -366,24 +358,18 @@ class _TargetMatrix:
     def __init__(self, entries: Iterable[_IndexEntry]):
         pool = list(entries)
         self.rows = sorted(
-            (ie for ie in pool if ie.embedding), key=lambda ie: ie.fingerprint
+            (ie for ie in pool if len(ie.embedding) == EMBEDDING_SIZE),
+            key=lambda ie: ie.fingerprint,
         )
-        self.extras = [ie for ie in pool if not ie.embedding]
+        self.extras = [ie for ie in pool if len(ie.embedding) != EMBEDDING_SIZE]
         self.keys = [ie.key for ie in self.rows]
         self.fingerprints = [ie.fingerprint for ie in self.rows]
-        dims = {len(ie.embedding) for ie in self.rows}
-        if len(dims) == 1:
-            self.embeddings: Optional[np.ndarray] = np.array(
-                [ie.embedding for ie in self.rows], dtype=np.float64
-            )
-            self.sched_mask: Optional[np.ndarray] = np.fromiter(
-                (ie.has_schedule for ie in self.rows),
-                dtype=bool,
-                count=len(self.rows),
-            )
-        else:
-            self.embeddings = None
-            self.sched_mask = None
+        self.embeddings = np.array(
+            [ie.embedding for ie in self.rows], dtype=np.float64
+        ).reshape(len(self.rows), EMBEDDING_SIZE)
+        self.sched_mask = np.fromiter(
+            (ie.has_schedule for ie in self.rows), dtype=bool, count=len(self.rows)
+        )
         self.row_of = {fp: i for i, fp in enumerate(self.fingerprints)}
 
 
@@ -452,7 +438,6 @@ class ScheduleRegistry:
             "registry.shard_handles",
             maxsize=max(int(max_open_shards), 1),
             on_evict=lambda fh: fh.close(),
-            legacy_bypass=False,
         )
         if self.root is not None and self.root.exists():
             self.removed_orphans = self._remove_orphan_tmps()
@@ -935,9 +920,7 @@ class ScheduleRegistry:
         neighbors: Tuple[Tuple[float, RegistryEntry], ...] = ()
         transfers: Tuple[Tuple[float, RegistryEntry], ...] = ()
         if query_dag is not None and k > 0:
-            neighbors = tuple(
-                self._nearest_impl(query_dag, target_name, k=k, exclude_exact=True)
-            )
+            neighbors = tuple(self._nearest_impl(query_dag, target_name, k=k))
         if query_dag is not None and cross_target and isinstance(target, HardwareTarget):
             transfers = tuple(
                 self._cross_target_impl(query_dag, target, catalog=catalog, k=max(k, 1))
@@ -969,17 +952,6 @@ class ScheduleRegistry:
         (_HITS if entry is not None else _MISSES).inc()
         return entry
 
-    def get(self, fingerprint: str, target) -> Optional[RegistryEntry]:
-        """Deprecated: use ``lookup(fingerprint, target, k=0).entry``."""
-        warnings.warn(
-            "ScheduleRegistry.get() is deprecated; use "
-            "lookup(fingerprint, target, k=0).entry",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        target_name = target if isinstance(target, str) else target.name
-        return self._lookup_exact(fingerprint, target_name)
-
     def entries(self) -> List[RegistryEntry]:
         """Current best entry of every (fingerprint, target) key.
 
@@ -991,87 +963,34 @@ class ScheduleRegistry:
             self._ensure_all_indexed_locked()
             return [self._materialise_locked(key) for key in sorted(self._index)]
 
-    def nearest(
-        self,
-        dag: ComputeDAG,
-        target,
-        k: int = 1,
-        exclude_exact: bool = True,
-    ) -> List[Tuple[float, RegistryEntry]]:
-        """Deprecated: use ``lookup(dag, target, k=k).neighbors``."""
-        warnings.warn(
-            "ScheduleRegistry.nearest() is deprecated; use "
-            "lookup(dag, target, k=k).neighbors",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        target_name = target if isinstance(target, str) else target.name
-        return self._nearest_impl(dag, target_name, k=k, exclude_exact=exclude_exact)
-
     def _nearest_impl(
-        self, dag: ComputeDAG, target_name: str, k: int, exclude_exact: bool = True
+        self, dag: ComputeDAG, target_name: str, k: int
     ) -> List[Tuple[float, RegistryEntry]]:
+        """The ``k`` same-target entries closest to ``dag``, its own entry excluded."""
         if k <= 0:
             return []
         fingerprint = structural_fingerprint(dag)
         query = workload_embedding(dag)
         with self._mutex:
             self._ensure_all_indexed_locked()
-            return self._nearest_locked(fingerprint, query, target_name, k, exclude_exact)
+            return self._nearest_locked(fingerprint, query, target_name, k)
 
     def _nearest_locked(
-        self,
-        fingerprint: str,
-        query: np.ndarray,
-        target_name: str,
-        k: int,
-        exclude_exact: bool,
+        self, fingerprint: str, query: np.ndarray, target_name: str, k: int
     ) -> List[Tuple[float, RegistryEntry]]:
         matrix = self._matrix_locked(target_name)
-        if (
-            hot_path_enabled()
-            and matrix.embeddings is not None
-            and (len(matrix.rows) == 0 or matrix.embeddings.shape[1] == len(query))
-        ):
-            return self._nearest_vector_locked(
-                matrix, fingerprint, query, k, exclude_exact
-            )
-        # Reference path: per-entry loop, kept for legacy_hot_path() A/B
-        # runs and for stores whose embedding dimensions are inconsistent
-        # (embedding_distance raises on the mismatch, as it always did).
-        scored: List[Tuple[float, _IndexEntry]] = []
-        for ie in matrix.rows:
-            if exclude_exact and ie.fingerprint == fingerprint:
-                continue
-            scored.append((embedding_distance(query, ie.embedding), ie))
-        scored.sort(key=lambda pair: (pair[0], pair[1].fingerprint))
-        return [
-            (dist, self._materialise_locked(ie.key)) for dist, ie in scored[: max(k, 0)]
-        ]
-
-    def _nearest_vector_locked(
-        self,
-        matrix: _TargetMatrix,
-        fingerprint: str,
-        query: np.ndarray,
-        k: int,
-        exclude_exact: bool,
-    ) -> List[Tuple[float, RegistryEntry]]:
         n = len(matrix.rows)
         if n == 0:
             return []
-        emb = matrix.embeddings
-        assert emb is not None
-        diff = emb - np.asarray(query, dtype=np.float64)
+        diff = matrix.embeddings - np.asarray(query, dtype=np.float64)
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        exact_row = matrix.row_of.get(fingerprint) if exclude_exact else None
+        exact_row = matrix.row_of.get(fingerprint)
         over = min(k + (1 if exact_row is not None else 0), n)
         if over < n:
             cand = np.argpartition(dist, over - 1)[:over]
         else:
             cand = np.arange(n)
-        # primary: distance; tie-break: row order == fingerprint order,
-        # reproducing the reference sort key (distance, fingerprint).
+        # primary: distance; tie-break: row order == fingerprint order.
         order = np.lexsort((cand, dist[cand]))
         out: List[Tuple[float, RegistryEntry]] = []
         for row in cand[order]:
@@ -1084,22 +1003,6 @@ class ScheduleRegistry:
             if len(out) == k:
                 break
         return out
-
-    def cross_target_candidates(
-        self,
-        dag: ComputeDAG,
-        target: HardwareTarget,
-        catalog=None,
-        k: int = 4,
-    ) -> List[Tuple[float, RegistryEntry]]:
-        """Deprecated: use ``lookup(dag, target, cross_target=True).transfers``."""
-        warnings.warn(
-            "ScheduleRegistry.cross_target_candidates() is deprecated; use "
-            "lookup(dag, target, cross_target=True, catalog=...).transfers",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._cross_target_impl(dag, target, catalog=catalog, k=k)
 
     def _cross_target_impl(
         self,
@@ -1140,7 +1043,7 @@ class ScheduleRegistry:
     ) -> List[Tuple[float, RegistryEntry]]:
         q = np.asarray(query, dtype=np.float64)
         # (score, fingerprint, target, t_dist, key) — sorted on the first
-        # three, exactly the pre-vectorised tie-break.
+        # three, so equal scores break ties by fingerprint, then target.
         scored: List[Tuple[float, str, str, float, Tuple[str, str]]] = []
         for target_name in sorted(self._targets):
             if target_name == target.name:
@@ -1150,57 +1053,34 @@ class ScheduleRegistry:
             if t_dist < 0:
                 continue
             matrix = self._matrix_locked(target_name)
-            if (
-                hot_path_enabled()
-                and matrix.embeddings is not None
-                and (len(matrix.rows) == 0 or matrix.embeddings.shape[1] == q.shape[0])
-            ):
-                n = len(matrix.rows)
-                if n:
-                    assert matrix.sched_mask is not None
-                    diff = matrix.embeddings - q
-                    score = np.sqrt(np.einsum("ij,ij->i", diff, diff)) + t_dist
-                    row = matrix.row_of.get(fingerprint)
-                    if row is not None:
-                        score[row] = t_dist  # exact workload: w_dist == 0
-                    cand = np.nonzero(matrix.sched_mask)[0]
-                    if cand.size:
-                        take = min(k, int(cand.size))
-                        sub = score[cand]
-                        if take < cand.size:
-                            pick = np.argpartition(sub, take - 1)[:take]
-                        else:
-                            pick = np.arange(cand.size)
-                        order = np.lexsort((cand[pick], sub[pick]))
-                        for r in cand[pick][order]:
-                            scored.append(
-                                (
-                                    float(score[r]),
-                                    matrix.fingerprints[r],
-                                    target_name,
-                                    t_dist,
-                                    matrix.keys[r],
-                                )
-                            )
-                for ie in matrix.extras:
-                    # no embedding: only the exact workload can transfer
-                    if ie.has_schedule and ie.fingerprint == fingerprint:
-                        scored.append(
-                            (t_dist, ie.fingerprint, target_name, t_dist, ie.key)
-                        )
-            else:
-                for ie in matrix.rows + matrix.extras:
-                    if not ie.has_schedule:
-                        continue
-                    if ie.fingerprint == fingerprint:
-                        w_dist = 0.0
-                    elif ie.embedding:
-                        w_dist = embedding_distance(query, ie.embedding)
-                    else:
-                        continue
+            cand = np.nonzero(matrix.sched_mask)[0]
+            if cand.size:
+                diff = matrix.embeddings - q
+                score = np.sqrt(np.einsum("ij,ij->i", diff, diff)) + t_dist
+                row = matrix.row_of.get(fingerprint)
+                if row is not None:
+                    score[row] = t_dist  # exact workload: w_dist == 0
+                take = min(k, int(cand.size))
+                sub = score[cand]
+                if take < cand.size:
+                    pick = np.argpartition(sub, take - 1)[:take]
+                else:
+                    pick = np.arange(cand.size)
+                order = np.lexsort((cand[pick], sub[pick]))
+                for r in cand[pick][order]:
                     scored.append(
-                        (w_dist + t_dist, ie.fingerprint, target_name, t_dist, ie.key)
+                        (
+                            float(score[r]),
+                            matrix.fingerprints[r],
+                            target_name,
+                            t_dist,
+                            matrix.keys[r],
+                        )
                     )
+            for ie in matrix.extras:
+                # no full-width embedding: only the exact workload can transfer
+                if ie.has_schedule and ie.fingerprint == fingerprint:
+                    scored.append((t_dist, ie.fingerprint, target_name, t_dist, ie.key))
         scored.sort(key=lambda item: (item[0], item[1], item[2]))
         out: List[Tuple[float, RegistryEntry]] = []
         for _score, _fp, _tname, t_dist, key in scored[: max(k, 0)]:

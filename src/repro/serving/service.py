@@ -535,8 +535,8 @@ class TuningService:
                     scheduler=rec.scheduler or "recovered",
                     schedule=rec.schedule,
                     # Recovered entries keep the embedding the measurement
-                    # persisted, so they stay visible to nearest() and
-                    # cross-target transfer after a crash (legacy logs
+                    # persisted, so they stay visible to neighbour lookups
+                    # and cross-target transfer after a crash (legacy logs
                     # without embeddings recover with an empty one).
                     embedding=tuple(getattr(rec, "embedding", ()) or ()),
                     source=source,

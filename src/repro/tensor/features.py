@@ -27,7 +27,6 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.caching import hot_path_enabled
 from repro.tensor.schedule import Schedule
 from repro.tensor.sketch import Sketch
 
@@ -275,10 +274,6 @@ def batch_features(schedules: Sequence[Schedule]) -> np.ndarray:
     """
     if not schedules:
         return np.zeros((0, FEATURE_SIZE), dtype=np.float64)
-    if not hot_path_enabled():
-        # Baseline reference path for benchmarks and equivalence tests: the
-        # per-schedule scalar implementation, stacked.
-        return np.stack([schedule_features(s) for s in schedules], axis=0)
     out = np.zeros((len(schedules), FEATURE_SIZE), dtype=np.float64)
     groups: Dict[int, Tuple[Sketch, List[int]]] = {}
     for idx, schedule in enumerate(schedules):

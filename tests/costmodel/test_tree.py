@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.caching import legacy_hot_path
 from repro.costmodel.gbt import GradientBoostedTrees
 from repro.costmodel.tree import RegressionTree
 
@@ -23,18 +22,69 @@ def node_arrays(tree):
     )
 
 
-def grow_per_node(X, y, max_depth, min_samples_leaf, max_features, seed):
+def best_split_reference(tree, X, y):
+    """Per-feature split search over one node's rows (the pre-presort algorithm).
+
+    Sorts every candidate feature of ``X`` afresh and scans its prefix sums;
+    candidate features come from ``tree``'s RNG, as in
+    :meth:`RegressionTree._best_split`.
+    """
+    n_samples, n_features = X.shape
+    total_sum = float(np.sum(y))
+    total_sq = float(np.sum(y * y))
+    base_sse = total_sq - total_sum * total_sum / n_samples
+
+    best_feature, best_threshold, best_gain = -1, 0.0, 0.0
+    for feature in tree._candidate_features(n_features):
+        values = X[:, feature]
+        order = np.argsort(values, kind="mergesort")
+        v_sorted = values[order]
+        y_sorted = y[order]
+
+        left_count = np.arange(1, n_samples)
+        left_sum = np.cumsum(y_sorted)[:-1]
+        left_sq = np.cumsum(y_sorted * y_sorted)[:-1]
+        right_count = n_samples - left_count
+        right_sum = total_sum - left_sum
+        right_sq = total_sq - left_sq
+
+        sse = (
+            left_sq
+            - left_sum * left_sum / left_count
+            + right_sq
+            - right_sum * right_sum / right_count
+        )
+        gains = base_sse - sse
+
+        # Valid split positions: both children big enough and distinct
+        # adjacent feature values (otherwise the threshold is degenerate).
+        valid = (
+            (left_count >= tree.min_samples_leaf)
+            & (right_count >= tree.min_samples_leaf)
+            & (v_sorted[:-1] < v_sorted[1:])
+        )
+        if not np.any(valid):
+            continue
+        gains = np.where(valid, gains, -np.inf)
+        idx = int(np.argmax(gains))
+        if gains[idx] > best_gain:
+            best_gain = float(gains[idx])
+            best_feature = int(feature)
+            best_threshold = float((v_sorted[idx] + v_sorted[idx + 1]) / 2.0)
+
+    return best_feature, best_threshold, best_gain
+
+
+def grow_per_node(tree, X, y):
     """The pre-presort growth algorithm, as an independent oracle.
 
-    Recursive depth-first growth that hands every child its own ``X[mask]``
-    and searches it with :meth:`RegressionTree._best_split_reference` (a
-    fresh per-feature sort per node), flattened in pre-order.
+    A drop-in for :meth:`RegressionTree._grow`: recursive depth-first growth
+    that hands every child its own ``X[mask]`` and searches it with
+    :func:`best_split_reference` (a fresh per-feature sort per node),
+    flattened in pre-order into ``tree``'s node arrays.
     """
-    splitter = RegressionTree(
-        max_depth=max_depth, min_samples_leaf=min_samples_leaf,
-        max_features=max_features, rng=np.random.default_rng(seed),
-    )
     feature, threshold, left, right, value = [], [], [], [], []
+    tree._depth = 0
 
     def grow(X, y, depth):
         idx = len(value)
@@ -43,10 +93,11 @@ def grow_per_node(X, y, max_depth, min_samples_leaf, max_features, seed):
         left.append(-1)
         right.append(-1)
         value.append(float(np.mean(y)))
-        if depth >= max_depth or len(y) < 2 * min_samples_leaf or np.allclose(y, y[0]):
+        tree._depth = max(tree._depth, depth)
+        if depth >= tree.max_depth or len(y) < 2 * tree.min_samples_leaf or np.allclose(y, y[0]):
             return idx
-        f, t, gain = splitter._best_split_reference(X, y)
-        if f < 0 or gain < splitter.min_gain:
+        f, t, gain = best_split_reference(tree, X, y)
+        if f < 0 or gain < tree.min_gain:
             return idx
         mask = X[:, f] <= t
         feature[idx], threshold[idx] = f, t
@@ -55,7 +106,11 @@ def grow_per_node(X, y, max_depth, min_samples_leaf, max_features, seed):
         return idx
 
     grow(X, y, 0)
-    return feature, threshold, left, right, value
+    tree._node_feature = np.asarray(feature, dtype=np.intp)
+    tree._node_threshold = np.asarray(threshold, dtype=np.float64)
+    tree._node_left = np.asarray(left, dtype=np.intp)
+    tree._node_right = np.asarray(right, dtype=np.intp)
+    tree._node_value = np.asarray(value, dtype=np.float64)
 
 
 def tied_dataset(rng, n=120, d=6):
@@ -121,17 +176,23 @@ class TestPresortedGrowth:
     @pytest.mark.parametrize("max_features", [None, 3])
     def test_matches_per_node_oracle(self, seed, max_features):
         X, y = tied_dataset(np.random.default_rng(seed))
-        tree = RegressionTree(
-            max_depth=5, min_samples_leaf=2, max_features=max_features,
-            rng=np.random.default_rng(seed),
-        ).fit(X, y)
-        expected = grow_per_node(X, y, 5, 2, max_features, seed)
-        for got, want in zip(node_arrays(tree), expected):
-            assert np.array_equal(got, np.asarray(want, dtype=got.dtype))
+
+        def fresh():
+            return RegressionTree(
+                max_depth=5, min_samples_leaf=2, max_features=max_features,
+                rng=np.random.default_rng(seed),
+            )
+
+        tree = fresh().fit(X, y)
+        expected = fresh()
+        grow_per_node(expected, X, y)
+        for got, want in zip(node_arrays(tree), node_arrays(expected)):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("min_samples_leaf", [1, 3])
-    def test_matches_legacy_path(self, seed, min_samples_leaf):
+    def test_matches_legacy_path(self, seed, min_samples_leaf, monkeypatch):
+        """``fit`` grows the tree the per-node (legacy) algorithm grows."""
         X, y = tied_dataset(np.random.default_rng(seed), n=90, d=8)
 
         def fit():
@@ -141,14 +202,17 @@ class TestPresortedGrowth:
             ).fit(X, y)
 
         fast = fit()
-        with legacy_hot_path():
-            legacy = fit()
+        monkeypatch.setattr(RegressionTree, "_grow", grow_per_node)
+        legacy = fit()
         assert fast._node_value.size > 7  # a real tree, not a stump
         for got, want in zip(node_arrays(fast), node_arrays(legacy)):
             assert np.array_equal(got, want)
+        assert fast._depth == legacy._depth
+        assert np.array_equal(fast.predict(X), legacy.predict(X))
 
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_boosted_trees_match_legacy_path(self, seed):
+    def test_boosted_trees_match_legacy_path(self, seed, monkeypatch):
+        """Every boosted tree matches per-node growth, with both samplers drawing."""
         X, y = tied_dataset(np.random.default_rng(seed), n=150, d=10)
 
         def fit():
@@ -158,8 +222,8 @@ class TestPresortedGrowth:
             ).fit(X, y)
 
         fast = fit()
-        with legacy_hot_path():
-            legacy = fit()
+        monkeypatch.setattr(RegressionTree, "_grow", grow_per_node)
+        legacy = fit()
         assert fast.n_trees == legacy.n_trees
         for fast_tree, legacy_tree in zip(fast._trees, legacy._trees):
             for got, want in zip(node_arrays(fast_tree), node_arrays(legacy_tree)):

@@ -7,11 +7,12 @@ every target of the hardware catalog, and the batched measurement pipeline
 built on top inherits that equivalence.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.caching import legacy_hot_path
 from repro.hardware.catalog import default_catalog
 from repro.hardware.measurer import Measurer
 from repro.hardware.simulator import LatencySimulator
@@ -79,16 +80,6 @@ class TestBatchLatencyEquivalence:
         )
         assert np.array_equal(whole, split)
 
-    def test_legacy_mode_uses_reference(self, cpu):
-        simulator = LatencySimulator(cpu)
-        schedules = _mixed_batch(cpu, 3, per_sketch=2)
-        with legacy_hot_path():
-            legacy = simulator.batch_latency(schedules)
-        reference = np.array(
-            [simulator.reference_breakdown(s).latency for s in schedules]
-        )
-        assert np.array_equal(legacy, reference)
-
 
 class TestBatchBreakdownEquivalence:
     @pytest.mark.parametrize(
@@ -119,13 +110,27 @@ class TestBatchBreakdownEquivalence:
 
 class TestMeasurerEquivalence:
     def test_fast_and_legacy_measurements_agree(self, cpu):
-        """The vectorised measurement pipeline reproduces the serial loop."""
+        """One batched measurement equals measuring one schedule per call.
+
+        Both equal the scalar oracle: the reference latency, ``r_min``
+        repeats and one seeded noise draw per schedule in submission order.
+        """
         schedules = _mixed_batch(cpu, 13, per_sketch=3)
-        fast = Measurer(cpu, seed=5).measure(schedules)
-        with legacy_hot_path():
-            legacy = Measurer(cpu, seed=5).measure(schedules)
-        assert np.allclose(
-            [r.latency for r in fast], [r.latency for r in legacy], rtol=RTOL
-        )
-        assert [r.repeats for r in fast] == [r.repeats for r in legacy]
-        assert [r.trial_index for r in fast] == [r.trial_index for r in legacy]
+        batched = Measurer(cpu, seed=5).measure(schedules)
+        one_at_a_time = Measurer(cpu, seed=5)
+        serial = [one_at_a_time.measure([schedule])[0] for schedule in schedules]
+        assert [r.latency for r in batched] == [r.latency for r in serial]
+        assert [r.repeats for r in batched] == [r.repeats for r in serial]
+        assert [r.trial_index for r in batched] == [r.trial_index for r in serial]
+
+        rng = np.random.default_rng(5)
+        for result in batched:
+            true = one_at_a_time.simulator.reference_breakdown(result.schedule).latency
+            repeats = min(
+                max(math.ceil(one_at_a_time.min_repeat_seconds / max(true, 1e-9)), 1),
+                one_at_a_time.max_repeats,
+            )
+            noise = one_at_a_time.noise / math.sqrt(repeats)
+            expected = true * math.exp(float(rng.standard_normal()) * noise)
+            assert result.repeats == repeats
+            assert result.latency == pytest.approx(expected, rel=RTOL, abs=0.0)

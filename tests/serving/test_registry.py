@@ -3,14 +3,17 @@
 import json
 import random
 import threading
+from dataclasses import replace
 
 import pytest
 
 from repro.core.scheduler import HARLScheduler
+from repro.hardware.catalog import default_catalog
 from repro.serving.fingerprint import structural_fingerprint, workload_embedding
 from repro.serving.registry import RegistryEntry, ScheduleRegistry, _fit_tile_sizes
+from repro.serving.service import TuningRequest, TuningService
 from repro.tensor.factors import product
-from repro.tensor.workloads import gemm
+from repro.tensor.workloads import conv2d, gemm
 
 
 @pytest.fixture
@@ -276,6 +279,67 @@ class TestNearestNeighbour:
                 schedule.tile_sizes, schedule.sketch.tiled_iters
             ):
                 assert product(sizes) == extent
+
+
+class TestForeignWidthEmbedding:
+    """An imported entry whose embedding is not EMBEDDING_SIZE wide.
+
+    Such an entry matches only by exact fingerprint: it is never ranked as a
+    neighbour, and it transfers across targets only to its own workload.
+    """
+
+    FOREIGN = gemm(32, 32, 32)
+
+    @classmethod
+    def _import_foreign(cls, registry, tmp_path, target, schedule=None):
+        entry = replace(
+            _entry(cls.FOREIGN, target, latency=1.0, schedule=schedule),
+            embedding=(1.0, 2.0, 3.0),
+        )
+        path = tmp_path / "foreign.jsonl"
+        path.write_text(json.dumps(entry.to_dict()) + "\n")
+        assert registry.import_file(path) == 1
+        return entry
+
+    def test_neighbours_rank_only_full_width_rows(self, cpu, tmp_path):
+        registry = ScheduleRegistry()
+        near, far = gemm(256, 128, 128), conv2d(14, 14, 32, 32, 3, 1, 1)
+        registry.record(_entry(near, cpu, latency=1.0))
+        registry.record(_entry(far, cpu, latency=1.0))
+        self._import_foreign(registry, tmp_path, cpu)
+        neighbors = registry.lookup(gemm(128, 128, 128), cpu, k=3).neighbors
+        assert [e.workload for _d, e in neighbors] == [near.name, far.name]
+
+    def test_exact_probe_still_finds_the_entry(self, cpu, tmp_path):
+        registry = ScheduleRegistry()
+        foreign = self._import_foreign(registry, tmp_path, cpu)
+        # A similarity query builds the target's matrix first.
+        assert registry.lookup(gemm(64, 64, 64), cpu, k=1).source == "miss"
+        found = registry.lookup(foreign.fingerprint, cpu, k=0).entry
+        assert found is not None and found.embedding == (1.0, 2.0, 3.0)
+        hit = registry.lookup(self.FOREIGN, cpu, k=1)
+        assert hit.source == "exact" and hit.entry == found and hit.neighbors == ()
+
+    def test_transfers_across_targets_only_for_its_fingerprint(self, cpu, tmp_path):
+        catalog = default_catalog()
+        dest = catalog.get("epyc-7543")
+        registry = ScheduleRegistry()
+        foreign = self._import_foreign(registry, tmp_path, cpu, schedule={"stub": 0})
+        transfers = registry.lookup(
+            self.FOREIGN, dest, cross_target=True, catalog=catalog
+        ).transfers
+        assert [e.fingerprint for _t, e in transfers] == [foreign.fingerprint]
+        assert registry.lookup(
+            gemm(64, 64, 64), dest, cross_target=True, catalog=catalog
+        ).transfers == ()
+
+    def test_service_job_on_the_target_completes(self, cpu, tiny_config, tmp_path):
+        registry = ScheduleRegistry()
+        self._import_foreign(registry, tmp_path, cpu)
+        service = TuningService(registry=registry, target=cpu, config=tiny_config)
+        (handle,) = service.process([TuningRequest(dag=gemm(64, 64, 64), n_trials=8)])
+        assert handle.done and handle.result.trials_used >= 8
+        assert registry.lookup(gemm(64, 64, 64), cpu, k=0).entry is not None
 
 
 class TestTileFitting:

@@ -8,9 +8,7 @@ The contract under test is the one the million-entry redesign rests on:
   tails all degrade transparently to a scan with identical answers;
 * for *any* interleaving of append / compact / crash (driven by the faults
   harness), a lazy v2 reload returns exactly the entries a line-by-line
-  parse of the surviving shard files says it must;
-* the deprecated ``get()`` / ``nearest()`` / ``cross_target_candidates()``
-  wrappers agree with ``lookup()``.
+  parse of the surviving shard files says it must.
 """
 
 import json
@@ -226,64 +224,3 @@ class TestPropertyLazyEqualsEager:
             assert found is not None and found.latency == latency
         assert len(lazy) == len(expected)
         lazy.close()
-
-
-class TestDeprecatedWrappers:
-    def test_get_agrees_with_lookup(self, tmp_path):
-        registry = ScheduleRegistry(tmp_path, num_shards=2)
-        registry.record(_entry(3, 0.75))
-        with pytest.deprecated_call():
-            via_get = registry.get("fp-003", "sim-cpu")
-        assert via_get == registry.lookup("fp-003", "sim-cpu", k=0).entry
-        with pytest.deprecated_call():
-            assert registry.get("fp-999", "sim-cpu") is None
-
-    def test_nearest_agrees_with_lookup(self):
-        registry = ScheduleRegistry()
-        for n in (96, 128, 256):
-            dag = gemm(n, n, n)
-            registry.record(
-                RegistryEntry(
-                    fingerprint=f"gemm-{n}",
-                    target="sim-cpu",
-                    workload=dag.name,
-                    latency=1.0,
-                    throughput=1.0,
-                    trials=4,
-                    scheduler="harl",
-                    schedule={"stub": n},
-                    embedding=tuple(workload_embedding(dag).tolist()),
-                )
-            )
-        query = gemm(112, 112, 112)
-        with pytest.deprecated_call():
-            via_nearest = registry.nearest(query, "sim-cpu", k=2)
-        assert via_nearest == list(registry.lookup(query, "sim-cpu", k=2).neighbors)
-
-    def test_cross_target_agrees_with_lookup(self):
-        from repro.hardware.catalog import default_catalog
-
-        catalog = default_catalog()
-        dest = catalog.get("epyc-7543")
-        donor = catalog.get("xeon-6226r")
-        registry = ScheduleRegistry()
-        dag = gemm(64, 64, 64)
-        registry.record(
-            RegistryEntry(
-                fingerprint="fp-donor",
-                target=donor.name,
-                workload=dag.name,
-                latency=1.0,
-                throughput=1.0,
-                trials=4,
-                scheduler="harl",
-                schedule={"stub": 0},
-                embedding=tuple(workload_embedding(dag).tolist()),
-            )
-        )
-        with pytest.deprecated_call():
-            via_old = registry.cross_target_candidates(dag, dest, catalog=catalog)
-        via_lookup = registry.lookup(
-            dag, dest, cross_target=True, catalog=catalog
-        ).transfers
-        assert via_old == list(via_lookup)

@@ -34,7 +34,7 @@ def _tune(registry, target, dag, n_trials, tiny_config, seed=0, tenant="default"
 class TestCrossTargetCandidates:
     def test_no_candidates_from_empty_registry(self, catalog, gemm_dag):
         registry = ScheduleRegistry()
-        assert registry.cross_target_candidates(gemm_dag, cpu_target()) == []
+        assert registry.lookup(gemm_dag, cpu_target(), cross_target=True).transfers == ()
 
     def test_exact_workload_on_cousin_device_ranks_first(self, catalog, tiny_config):
         registry = ScheduleRegistry()
@@ -43,7 +43,7 @@ class TestCrossTargetCandidates:
         for name in ("epyc-7543", "rpi4-a72", "rtx-3090"):
             _tune(registry, catalog.get(name), gemm(64, 64, 64), 8, tiny_config)
         dest = catalog.get("epyc-7763")
-        candidates = registry.cross_target_candidates(dag, dest, k=3)
+        candidates = registry.lookup(dag, dest, k=3, cross_target=True).transfers
         donors = [entry.target for _dist, entry in candidates]
         # epyc-7543 is the closest cousin; the GPU always ranks last.
         assert donors[0] == "epyc-7543"

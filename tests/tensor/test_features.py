@@ -101,12 +101,3 @@ class TestLayoutCacheAndLegacyPath:
         first = _layout_of(cached_sketches(dag)[0])
         assert _layout_of(cached_sketches(dag)[0]) is first
         clear_caches()
-
-    def test_legacy_path_is_bit_identical(self, gemm_sketch, rng):
-        from repro.caching import legacy_hot_path
-
-        schedules = sample_initial_schedules(gemm_sketch, 6, rng)
-        fast = batch_features(schedules)
-        with legacy_hot_path():
-            legacy = batch_features(schedules)
-        assert np.array_equal(fast, legacy)

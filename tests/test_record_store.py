@@ -250,7 +250,7 @@ class TestReplayAndResume:
 
 
 class TestQueryAPI:
-    """store.query() subsumes the six legacy accessors; the shims agree."""
+    """store.query() is the one query entry point over a store's records."""
 
     @pytest.fixture()
     def populated(self, cpu, gemm_sketch, rng, store_path):
@@ -270,36 +270,6 @@ class TestQueryAPI:
         best = populated.query(kind="measure", best=True)
         assert best is min(records, key=lambda m: m.latency)
         assert populated.query(kind="measure", workload="absent", best=True) is None
-
-    def test_deprecated_shims_agree_with_query(self, populated):
-        dag = gemm(128, 128, 128)
-        wl = populated.query(kind="measure")[0].workload
-        with pytest.deprecated_call():
-            assert populated.measures() == populated.query(kind="measure")
-        with pytest.deprecated_call():
-            assert populated.measures_for(dag) == populated.query(
-                kind="measure", dag=dag
-            )
-        with pytest.deprecated_call():
-            assert populated.results() == populated.query(kind="result")
-        with pytest.deprecated_call():
-            assert populated.results_for(dag) == populated.query(kind="result", dag=dag)
-        with pytest.deprecated_call():
-            assert populated.best_measure(wl) is populated.query(
-                kind="measure", workload=wl, best=True
-            )
-        with pytest.deprecated_call():
-            expected = min(
-                r.latency
-                for r in populated.query(kind="measure", workload=wl)
-                + populated.query(kind="result", workload=wl)
-            )
-            assert populated.best_latency(wl) == expected
-
-    def test_best_measure_still_raises_keyerror(self, populated):
-        with pytest.deprecated_call():
-            with pytest.raises(KeyError, match="no measurements"):
-                populated.best_measure("absent")
 
     def test_iter_yields_without_a_full_copy(self, populated):
         seen = []
