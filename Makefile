@@ -65,7 +65,7 @@ serve-load:
 	$(PYTHON) benchmarks/perf/loadgen.py --output BENCH_load.json --check
 
 ## Release gate: run every fault-injection recovery obligation (registry,
-## record store, compaction, measurer pool, tuning service) over 3 seeds and
+## record store, compaction, tuning service, network server) over 3 seeds and
 ## write the pass/fail report artifact (GATE_obligations.json).  Red report
 ## == non-zero exit == the build does not ship.
 gate:

@@ -9,8 +9,6 @@ The script builds a 512x512x512 matrix-multiplication compute DAG, tunes it
 with the HARL auto-scheduler on the simulated 32-core CPU target, and prints
 the best schedule it found together with the tuning progress.
 
-``--num-workers 4`` measures each candidate batch on a worker pool (results
-are identical for the same seed, see docs/architecture.md) and
 ``--records-out logs/quickstart.jsonl`` streams every measurement to an
 append-only log that later runs can resume from.
 """
@@ -19,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro import HARLConfig, HARLScheduler, ParallelMeasurer, RecordStore, cpu_target, gemm
+from repro import HARLConfig, HARLScheduler, RecordStore, cpu_target, gemm
 
 
 def main() -> None:
@@ -29,8 +27,6 @@ def main() -> None:
     parser.add_argument("--k", type=int, default=512)
     parser.add_argument("--n", type=int, default=512)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--num-workers", type=int, default=1,
-                        help="measurement pool size (1 = serial)")
     parser.add_argument("--records-out", default=None,
                         help="append every measurement to this JSONL log")
     args = parser.parse_args()
@@ -40,19 +36,9 @@ def main() -> None:
     # A quarter of the paper-scale episode width keeps the example snappy.
     config = HARLConfig.scaled(0.25)
 
-    measurer = None
     record_store = RecordStore(args.records_out) if args.records_out else None
-    if args.num_workers > 1:
-        measurer = ParallelMeasurer(
-            target,
-            num_workers=args.num_workers,
-            min_repeat_seconds=config.min_repeat_seconds,
-            seed=args.seed,
-            record_store=record_store,
-        )
     scheduler = HARLScheduler(
-        target=target, config=config, seed=args.seed,
-        measurer=measurer, record_store=record_store,
+        target=target, config=config, seed=args.seed, record_store=record_store
     )
 
     print(f"Tuning {dag.name} ({dag.flops / 1e9:.2f} GFLOPs) on {target.name} "

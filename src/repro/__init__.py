@@ -29,7 +29,7 @@ from repro.caching import (
 from repro.core import HARLConfig, HARLScheduler, TuningResult
 from repro.baselines import AnsorScheduler, FlextensorScheduler, SimulatedAnnealingScheduler
 from repro.records import MeasureRecord, RecordStore, TuningRecord, load_records, save_records
-from repro.hardware import HardwareTarget, Measurer, ParallelMeasurer, cpu_target, gpu_target
+from repro.hardware import HardwareTarget, Measurer, cpu_target, gpu_target
 from repro.costmodel import ScheduleCostModel
 from repro.serving import (
     ScheduleRegistry,
@@ -66,7 +66,6 @@ __all__ = [
     "MeasureRecord",
     "Measurer",
     "NetworkGraph",
-    "ParallelMeasurer",
     "RecordStore",
     "Schedule",
     "ScheduleCostModel",

@@ -35,8 +35,8 @@ Twelve sub-commands cover the common workflows:
   latency percentiles from real histogram buckets, cache counters — as a
   summary, Prometheus text exposition, or JSON snapshot.
 * ``trace``        — run a traced tuning round and emit the span tree:
-  service rounds, measurement batches, per-worker chunks, injected-fault
-  events — as JSONL records plus an indented tree rendering.
+  service rounds, job finishes, injected-fault events — as JSONL records
+  plus an indented tree rendering.
 
 All latencies come from the simulated hardware targets.  ``--target``
 accepts any catalog name (``repro targets list``) plus the ``cpu`` / ``gpu``
@@ -78,10 +78,6 @@ _SCHEDULER_CHOICES = ("harl", "hierarchical-rl", "ansor", "flextensor", "autotvm
 _EPILOG = """\
 measurement pipeline flags (available on every sub-command):
 
-  --num-workers N   Fan each measurement batch out over N pool workers via
-                    ParallelMeasurer.  Measurement noise is pre-drawn in
-                    batch-submission order, so for a fixed --seed the results
-                    are identical to a serial run (N=1), only faster.
   --records-out F   Stream every measurement (and the final tuning result) to
                     the append-only JSONL log F while tuning runs.  The log is
                     flushed per line, so a killed run loses at most one line.
@@ -105,11 +101,11 @@ measurement pipeline flags (available on every sub-command):
 
 examples:
 
-  python -m repro tune-op --op GEMM-L --trials 200 --num-workers 4 \\
+  python -m repro tune-op --op GEMM-L --trials 200 \\
       --records-out logs/gemm.jsonl
   python -m repro tune-op --op GEMM-L --trials 200 \\
       --resume-from logs/gemm.jsonl --records-out logs/gemm.jsonl
-  python -m repro compare --op C2D --batch 16 --num-workers 4
+  python -m repro compare --op C2D --batch 16
   python -m repro tune-op --op GEMM-L --trials 200 --registry registry/
   python -m repro serve --registry registry/ --trials 64
   python -m repro query --registry registry/ --op GEMM-L
@@ -187,9 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--scale", type=float, default=0.25,
                        help="HARLConfig.scaled factor (1.0 = paper-scale episodes)")
-        p.add_argument("--num-workers", type=int, default=1, metavar="N",
-                       help="measurement pool size (1 = serial; results are "
-                            "seed-identical either way)")
         p.add_argument("--records-out", metavar="FILE", default=None,
                        help="append every measurement to this JSONL record log")
         p.add_argument("--resume-from", metavar="FILE", default=None,
@@ -426,7 +419,7 @@ def _build_pipeline(args, target, config: HARLConfig):
                 print(f"error: --resume-from {args.resume_from!r} does not exist",
                       file=sys.stderr)
                 raise SystemExit(2) from None
-    measurer = make_measurer(target, config, args.seed, args.num_workers, record_store)
+    measurer = make_measurer(target, config, args.seed, record_store)
     return measurer, record_store, resume_store
 
 
@@ -567,7 +560,7 @@ def _cmd_network(args) -> int:
     record_store = RecordStore(args.records_out) if args.records_out else None
     service = TuningService(
         registry=registry, target=target, config=config, seed=args.seed,
-        record_store=record_store, num_workers=args.num_workers,
+        record_store=record_store,
     )
     tuner = NetworkTuner(network, service, policy=args.policy,
                          scheduler=args.scheduler, force_tune=args.force_tune)
@@ -590,7 +583,7 @@ def _cmd_compare(args) -> int:
     dag = representative_dag(args.op, batch=args.batch)
     comparison = compare_on_operator(
         dag, n_trials=args.trials, target=target, config=config, seed=args.seed,
-        schedulers=("ansor", "harl"), num_workers=args.num_workers,
+        schedulers=("ansor", "harl"),
         records_dir=args.records_out, registry=args.registry,
     )
     perf = comparison.normalized_performance()
@@ -697,7 +690,7 @@ def _cmd_serve(args) -> int:
     record_store = RecordStore(args.records_out) if args.records_out else None
     service = TuningService(
         registry=registry, target=target, config=config, seed=args.seed,
-        record_store=record_store, num_workers=args.num_workers,
+        record_store=record_store,
     )
     if args.listen:
         try:
@@ -748,7 +741,6 @@ def _cmd_bench_load(args) -> int:
     service = TuningService(
         registry=registry, target=target,
         config=HARLConfig.scaled(args.scale), seed=args.seed,
-        num_workers=args.num_workers,
     )
     server_config = ServerConfig(
         max_inflight=1 if args.saturate else args.max_inflight,
@@ -818,7 +810,7 @@ def _run_service_demo(args, waves: int = 1):
     record_store = RecordStore(args.records_out) if args.records_out else None
     service = TuningService(
         registry=registry, target=target, config=config, seed=args.seed,
-        record_store=record_store, num_workers=args.num_workers,
+        record_store=record_store,
     )
     handles = []
     for _wave in range(waves):
@@ -871,7 +863,6 @@ def _cmd_metrics(args) -> int:
         ("registry.append_seconds", "appends"),
         ("registry.shard_load_seconds", "shard loads"),
         ("records.flush_seconds", "record flushes"),
-        ("parallel.batch_seconds", "parallel batches"),
     ):
         summary = snap["histograms"].get(name)
         if summary and summary["count"]:
@@ -1029,7 +1020,7 @@ def _cmd_sweep(args) -> int:
         report = sweep_networks(
             networks, targets, n_trials=args.trials, config=config,
             seed=args.seed, scheduler=args.scheduler, policy=args.policy,
-            registry=registry, num_workers=args.num_workers,
+            registry=registry,
             record_store=record_store, batch_size=args.batch,
         )
         print(report.format(
@@ -1062,7 +1053,7 @@ def _cmd_sweep(args) -> int:
     record_store = RecordStore(args.records_out) if args.records_out else None
     report = sweep_targets(
         dags, targets, n_trials=args.trials, config=config, seed=args.seed,
-        scheduler=args.scheduler, registry=registry, num_workers=args.num_workers,
+        scheduler=args.scheduler, registry=registry,
         record_store=record_store,
     )
     print(report.format(

@@ -84,9 +84,7 @@ class ParameterSearcher:
         Online cost model used for rewards, pruning scores and top-K selection.
     measurer:
         Simulated hardware measurer; consumes measurement trials.  The top-K
-        candidates of every episode are submitted as one batch, so a
-        :class:`~repro.hardware.parallel.ParallelMeasurer` fans them out over
-        its worker pool without any change here.
+        candidates of every episode are submitted as one batch.
     config:
         HARL configuration (track counts, top-K, RL training interval, ...).
     stopper:

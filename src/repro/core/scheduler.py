@@ -90,10 +90,9 @@ class HARLScheduler:
         Disable to fall back to greedy gradient-based task selection for
         end-to-end networks ("HARL w/o subgraph MAB" in Table 4).
     measurer:
-        Measurement backend; pass a
-        :class:`~repro.hardware.parallel.ParallelMeasurer` to fan measurement
-        batches out over a worker pool (results are identical to the serial
-        default for the same seed).
+        Measurement backend; defaults to a
+        :class:`~repro.hardware.measurer.Measurer` with the config's
+        ``min_repeat_seconds`` and this scheduler's seed.
     record_store:
         Optional :class:`~repro.records.RecordStore`.  When given, every
         measurement is streamed to the store's JSONL log as it happens and

@@ -19,7 +19,6 @@ from repro.core.scheduler import HARLScheduler
 from repro.core.tuner import NetworkTuningResult, TuningResult
 from repro.experiments.metrics import normalized_performance, normalized_search_time
 from repro.hardware.measurer import Measurer
-from repro.hardware.parallel import ParallelMeasurer
 from repro.hardware.target import HardwareTarget, cpu_target
 from repro.networks.graph import NetworkGraph
 from repro.records import RecordStore
@@ -114,26 +113,21 @@ def make_measurer(
     target: HardwareTarget,
     config: HARLConfig,
     seed: int,
-    num_workers: int,
     record_store=None,
-) -> Optional[Measurer]:
-    """Build the measurement backend selected by pipeline options.
+) -> Measurer:
+    """Build one competitor's measurer.
 
-    This is the single policy shared by the CLI and the comparison runners:
-    returns ``None`` when neither parallelism nor persistence was requested
-    (so callers fall back to each scheduler's default measurer, preserving
-    plain-run seed semantics), a :class:`ParallelMeasurer` when
-    ``num_workers > 1``, and a serial :class:`Measurer` bound to the record
-    store otherwise.
+    This is the single policy shared by the CLI, the comparison runners and
+    the tuning service.  Every scheduler in a run measures with the run's
+    ``r_min`` (``config.min_repeat_seconds``), whether or not its
+    measurements are persisted to ``record_store``.
     """
-    if num_workers <= 1 and record_store is None:
-        return None
-    kwargs = dict(
-        min_repeat_seconds=config.min_repeat_seconds, seed=seed, record_store=record_store
+    return Measurer(
+        target,
+        min_repeat_seconds=config.min_repeat_seconds,
+        seed=seed,
+        record_store=record_store,
     )
-    if num_workers > 1:
-        return ParallelMeasurer(target, num_workers=num_workers, **kwargs)
-    return Measurer(target, **kwargs)
 
 
 def _default_factories(
@@ -141,7 +135,6 @@ def _default_factories(
     config: HARLConfig,
     seed: int,
     include: Sequence[str],
-    num_workers: int = 1,
     records_dir: Optional[Union[str, Path]] = None,
 ) -> Dict[str, Callable[[], object]]:
     def pipeline_for(name: str):
@@ -154,7 +147,7 @@ def _default_factories(
         store = None
         if records_dir is not None:
             store = RecordStore(Path(records_dir) / f"{name}.jsonl")
-        return make_measurer(target, config, seed, num_workers, store), store
+        return make_measurer(target, config, seed, store), store
 
     def harl_factory(name: str, **overrides) -> Callable[[], HARLScheduler]:
         def build():
@@ -194,7 +187,6 @@ def compare_on_operator(
     config: Optional[HARLConfig] = None,
     seed: int = 0,
     schedulers: Sequence[str] = ("ansor", "harl"),
-    num_workers: int = 1,
     records_dir: Optional[Union[str, Path]] = None,
     registry=None,
 ) -> OperatorComparison:
@@ -202,10 +194,6 @@ def compare_on_operator(
 
     Parameters
     ----------
-    num_workers:
-        When > 1, each scheduler measures through a
-        :class:`~repro.hardware.parallel.ParallelMeasurer` with this many
-        workers; results are identical to serial runs for the same seed.
     records_dir:
         When set, each scheduler streams its measurements to
         ``<records_dir>/<scheduler>.jsonl``.
@@ -219,7 +207,7 @@ def compare_on_operator(
     config = config or HARLConfig.scaled()
     registry = resolve_registry(registry)
     factories = _default_factories(
-        target, config, seed, schedulers, num_workers=num_workers, records_dir=records_dir
+        target, config, seed, schedulers, records_dir=records_dir
     )
     results: Dict[str, TuningResult] = {}
     for name in schedulers:
@@ -237,13 +225,12 @@ def compare_on_network(
     config: Optional[HARLConfig] = None,
     seed: int = 0,
     schedulers: Sequence[str] = ("ansor", "harl"),
-    num_workers: int = 1,
     records_dir: Optional[Union[str, Path]] = None,
     registry=None,
 ) -> NetworkComparison:
     """Tune one network end-to-end with every requested scheduler.
 
-    ``num_workers``, ``records_dir`` and ``registry`` behave as in
+    ``records_dir`` and ``registry`` behave as in
     :func:`compare_on_operator`; every subgraph's best result lands in the
     registry.
     """
@@ -251,7 +238,7 @@ def compare_on_network(
     config = config or HARLConfig.scaled()
     registry = resolve_registry(registry)
     factories = _default_factories(
-        target, config, seed, schedulers, num_workers=num_workers, records_dir=records_dir
+        target, config, seed, schedulers, records_dir=records_dir
     )
     results: Dict[str, NetworkTuningResult] = {}
     for name in schedulers:

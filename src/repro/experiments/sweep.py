@@ -132,7 +132,6 @@ def sweep_targets(
     scheduler: str = "harl",
     registry: Optional[ScheduleRegistry] = None,
     catalog: Optional[TargetCatalog] = None,
-    num_workers: int = 1,
     record_store=None,
 ) -> SweepReport:
     """Tune every workload on every target, reusing knowledge across targets.
@@ -143,10 +142,6 @@ def sweep_targets(
     names are resolved through ``catalog`` (the built-in catalog when
     ``None``); :class:`HardwareTarget` instances are used as-is, so derived
     synthetic variants sweep like any preset.
-
-    ``num_workers > 1`` fans each service's measurement batches out over a
-    :class:`~repro.hardware.parallel.ParallelMeasurer` pool; results are
-    identical to a serial sweep for the same seed.
     """
     if not dags:
         raise ValueError("sweep needs at least one workload")
@@ -164,7 +159,6 @@ def sweep_targets(
             target=target,
             config=config,
             seed=seed,
-            num_workers=num_workers,
             record_store=record_store,
             catalog=catalog,
         )
@@ -274,7 +268,6 @@ def sweep_networks(
     policy: str = "bandit",
     registry: Optional[ScheduleRegistry] = None,
     catalog: Optional[TargetCatalog] = None,
-    num_workers: int = 1,
     record_store=None,
     batch_size: int = 1,
 ) -> NetworkSweepReport:
@@ -313,7 +306,6 @@ def sweep_networks(
             target=target,
             config=config,
             seed=seed,
-            num_workers=num_workers,
             record_store=record_store,
             catalog=catalog,
         )

@@ -4,7 +4,7 @@ Two layers live here:
 
 * :mod:`repro.faults.plan` — the deterministic fault-injection harness: a
   seeded :class:`FaultPlan` armed with ``inject(plan)`` fires at named fault
-  points that the registry, record store, measurer pools and tuning service
+  points that the registry, record store, tuning service and network server
   consult (``poll`` is a near-free no-op when no plan is armed).
 * :mod:`repro.faults.obligations` / :mod:`repro.faults.scenarios` — the
   release gate: a declarative table of recovery invariants (*what must hold
@@ -24,7 +24,6 @@ from repro.faults.plan import (
     FiredFault,
     InjectedCrash,
     InjectedFault,
-    WorkerDeath,
     active_plan,
     inject,
     poll,
@@ -38,7 +37,6 @@ __all__ = [
     "FiredFault",
     "InjectedCrash",
     "InjectedFault",
-    "WorkerDeath",
     "active_plan",
     "inject",
     "poll",

@@ -92,13 +92,6 @@ OBLIGATIONS = (
         _scenario("compaction_idempotent"),
     ),
     Obligation(
-        "parallel.worker_retry_bounded",
-        "A worker dying mid-batch is recovered by re-running its span to "
-        "bit-identical results; a span that keeps dying raises after a "
-        "bounded number of retries.",
-        _scenario("parallel_worker_retry"),
-    ),
-    Obligation(
         "service.finish_after_crash_recovers",
         "A service crash between a round commit and the job finish is "
         "recoverable: a restarted service folds the measurement log back "

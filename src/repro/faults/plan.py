@@ -1,8 +1,8 @@
 """Deterministic fault-injection plans for the stateful serving/tuning stack.
 
 The stack has several crash-sensitive commit points: registry shard appends,
-record-log flushes, worker pools evaluating a measurement batch, compaction
-rewrites, and the service's round-commit → job-finish window.  This module
+record-log flushes, compaction rewrites, and the service's round-commit →
+job-finish window.  This module
 lets a test (or the release gate, see :mod:`repro.faults.obligations`) arm a
 seeded, reproducible :class:`FaultPlan` that fires at exactly those points:
 
@@ -12,16 +12,15 @@ seeded, reproducible :class:`FaultPlan` that fires at exactly those points:
 * A :class:`FaultSpec` selects *where* (``point`` + optional ``match`` against
   the hook's detail string), *when* (the ``at``-th matching arrival, for
   ``times`` consecutive arrivals) and *what* (``kind``: a torn partial write,
-  a simulated process crash, ENOSPC, a slow disk stall, or a worker death).
+  a simulated process crash, ENOSPC, or a slow disk stall).
 * Everything random (e.g. where a torn write is cut) comes from the plan's
   seeded RNG, and hooks are polled from deterministic control points, so one
   ``(plan specs, seed)`` pair replays the same fault sequence every run.
 
 The injected exceptions model real failure modes: :class:`InjectedCrash`
 simulates the process dying (nothing may run afterwards on that object's
-behalf — recovery happens in a *reloaded* instance), :class:`WorkerDeath`
-simulates one pool worker disappearing mid-batch, and ENOSPC is raised as a
-genuine ``OSError`` so production code exercises its real error handling.
+behalf — recovery happens in a *reloaded* instance), and ENOSPC is raised as
+a genuine ``OSError`` so production code exercises its real error handling.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ __all__ = [
     "FiredFault",
     "InjectedCrash",
     "InjectedFault",
-    "WorkerDeath",
     "active_plan",
     "inject",
     "poll",
@@ -59,14 +57,13 @@ FAULT_POINTS = {
     "registry.append": "torn/partial shard append followed by process death",
     "registry.compact": "crash mid-compaction (mid temp write or just before the atomic replace)",
     "records.flush": "ENOSPC or a slow-disk stall on a record-log flush",
-    "parallel.worker": "death of one pool worker mid-batch (details: chunk-N / retry-K:chunk-N)",
     "service.advance": "process crash between a round commit and the job finish",
     "server.accept": "stall or drop of an admitted request before tuning starts",
     "server.shed": "failure while shedding load (answering registry-only)",
 }
 
 #: What a firing spec does at its point.
-FAULT_KINDS = ("torn_write", "crash", "enospc", "slow_disk", "worker_death")
+FAULT_KINDS = ("torn_write", "crash", "enospc", "slow_disk")
 
 _INJECTED = counter("faults.injected", "Faults fired by an armed FaultPlan")
 
@@ -81,10 +78,6 @@ class InjectedCrash(InjectedFault):
     Recovery is only legitimate through a freshly constructed instance over
     the surviving on-disk state, exactly like a real restart.
     """
-
-
-class WorkerDeath(InjectedFault):
-    """Simulated death of one worker while it evaluated part of a batch."""
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Tuple
 
-from repro.faults.plan import FaultPlan, InjectedCrash, WorkerDeath, inject
+from repro.faults.plan import FaultPlan, InjectedCrash, inject
 
 __all__ = ["ObligationViolation", "ScenarioContext", "SCENARIOS"]
 
@@ -394,63 +394,6 @@ def compaction_idempotent(ctx: ScenarioContext) -> None:
 
 
 # --------------------------------------------------------------------- #
-# measurement-pool obligation
-# --------------------------------------------------------------------- #
-def parallel_worker_retry(ctx: ScenarioContext) -> None:
-    """A dead worker's span is retried to bit-identical results; retries bound."""
-    import numpy as np
-
-    from repro.hardware.measurer import Measurer
-    from repro.hardware.parallel import ParallelMeasurer
-    from repro.hardware.target import cpu_target
-    from repro.tensor.sampler import sample_initial_schedules
-    from repro.tensor.sketch import generate_sketches
-    from repro.tensor.workloads import gemm
-
-    target = cpu_target()
-    sketch = generate_sketches(gemm(64, 64, 64))[0]
-    schedules = sample_initial_schedules(
-        sketch, 8, np.random.default_rng(ctx.seed)
-    )
-
-    serial = Measurer(target, seed=ctx.seed).measure(schedules)
-
-    plan = FaultPlan.single(
-        "parallel.worker", "worker_death", match="chunk-1", seed=ctx.seed
-    )
-    with ParallelMeasurer(target, num_workers=4, seed=ctx.seed) as pool:
-        with inject(plan):
-            parallel = pool.measure(schedules)
-        ctx.require(pool.worker_deaths == 1, "the planned worker death never fired")
-        ctx.require(pool.worker_retries == 1, "recovery did not go through a retry")
-    ctx.require(
-        [r.latency for r in serial] == [r.latency for r in parallel],
-        "retried batch diverged from the serial measurer",
-    )
-    ctx.require(
-        [r.trial_index for r in serial] == [r.trial_index for r in parallel],
-        "retried batch shifted trial accounting",
-    )
-
-    # A span that keeps dying must eventually surface the failure instead of
-    # retrying forever: this plan kills chunk-0's first submission and every
-    # one of its retries.
-    from repro.faults.plan import FaultSpec
-
-    stubborn = FaultPlan(
-        [FaultSpec("parallel.worker", "worker_death", match="chunk-0", times=50)],
-        seed=ctx.seed,
-    )
-    with ParallelMeasurer(target, num_workers=4, seed=ctx.seed) as pool:
-        with inject(stubborn):
-            try:
-                pool.measure(schedules)
-                ctx.require(False, "a permanently dying span did not raise")
-            except WorkerDeath:
-                pass
-
-
-# --------------------------------------------------------------------- #
 # service obligations
 # --------------------------------------------------------------------- #
 def service_finish_after_crash_recovers(ctx: ScenarioContext) -> None:
@@ -751,7 +694,6 @@ SCENARIOS = {
     "records_slow_flush_flagged": records_slow_flush_flagged,
     "compaction_atomic": compaction_atomic,
     "compaction_idempotent": compaction_idempotent,
-    "parallel_worker_retry": parallel_worker_retry,
     "service_finish_after_crash_recovers": service_finish_after_crash_recovers,
     "service_waiters_released": service_waiters_released,
     "server_timeout_enforced": server_timeout_enforced,

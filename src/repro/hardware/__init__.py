@@ -6,9 +6,8 @@ model: the simulator scores a schedule from its tiling locality, vectorisation,
 parallel load balance, loop overhead / unrolling and producer-consumer reuse,
 and the measurer adds realistic measurement noise and repeat semantics.
 
-Batches of candidates can be measured serially (:class:`Measurer`) or fanned
-out over a thread/process pool (:class:`ParallelMeasurer`); per-(schedule,
-trial) noise seeding makes both produce identical results for the same seed.
+:class:`Measurer` evaluates each batch of candidates in one vectorised
+simulator pass, with noise pre-drawn from its seeded RNG in submission order.
 """
 
 from repro.hardware.target import HardwareTarget, cpu_target, gpu_target
@@ -20,14 +19,12 @@ from repro.hardware.catalog import (
 )
 from repro.hardware.simulator import LatencySimulator
 from repro.hardware.measurer import MeasureResult, Measurer
-from repro.hardware.parallel import ParallelMeasurer
 
 __all__ = [
     "HardwareTarget",
     "LatencySimulator",
     "MeasureResult",
     "Measurer",
-    "ParallelMeasurer",
     "TargetCatalog",
     "cpu_target",
     "default_catalog",

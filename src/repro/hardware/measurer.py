@@ -7,18 +7,16 @@ plus log-normal measurement noise, averaged over repeats so that at least
 Table 5), and it keeps global statistics: the number of measurement trials
 consumed and the best schedule found so far per workload.
 
-The pipeline is built for batched, possibly parallel evaluation:
+Measurement is batched:
 
 * **Noise is pre-drawn in submission order.**  Before a batch is evaluated,
   one standard-normal noise draw per schedule is taken from the measurer's
-  sequential RNG.  Each task is then a *pure function* of (schedule, target,
-  noise parameters, draw), so a worker pool can evaluate the batch in any
-  order — see :class:`~repro.hardware.parallel.ParallelMeasurer` — and still
-  produce results identical to a serial run.
-* **Statistics are committed atomically per batch**, in submission order, on
-  the controlling thread.  Trial counters, best-per-workload tracking and
-  progress histories are therefore identical between serial and parallel
-  execution.
+  sequential RNG.  Each measurement is then a *pure function* of (schedule,
+  target, noise parameters, draw), so how batches are split never changes
+  an outcome.
+* **Statistics are committed atomically per batch**, in submission order.
+  Trial counters, best-per-workload tracking and progress histories are
+  updated in one pass after the whole batch has been evaluated.
 """
 
 from __future__ import annotations
@@ -92,11 +90,9 @@ def simulate_measurement_batch(
 
     A pure function: it touches no shared state and takes its randomness as
     ``noise_draws`` (one standard-normal draw per schedule, from the
-    measurer's sequential RNG in submission order), so
-    :class:`~repro.hardware.parallel.ParallelMeasurer` can fan it out over a
-    worker pool without affecting determinism.  Each element depends only on
-    its own schedule and draw, so a batch may be split into arbitrary chunks
-    without changing any outcome.
+    measurer's sequential RNG in submission order).  Each element depends
+    only on its own schedule and draw, so a batch may be split into
+    arbitrary chunks without changing any outcome.
 
     The simulator consumes the batch through
     :meth:`~repro.hardware.simulator.LatencySimulator.batch_latency` (one
@@ -139,8 +135,7 @@ class Measurer:
         Seed of the measurement-noise RNG (the simulator's deterministic
         ruggedness has its own seed).  One standard-normal value is consumed
         per measurement, in batch-submission order, so runs with the same
-        seed see the same noise stream whether measurement is serial or
-        parallel and however batches are split.
+        seed see the same noise stream however batches are split.
     record_store:
         Optional :class:`~repro.records.RecordStore`; when set, every
         measurement is appended to the store's JSONL log as it is committed,
@@ -172,27 +167,13 @@ class Measurer:
         """Measure a batch of schedules, updating global trial statistics.
 
         One noise draw per schedule is taken up front (in submission order),
-        the batch is evaluated — serially here, possibly in parallel in
-        subclasses — and the statistics update is committed atomically in one
-        pass afterwards, so serial and parallel execution report identical
-        results and trial accounting.
+        the whole batch goes to the simulator in one vectorised pass, and the
+        statistics update is committed atomically in one pass afterwards.
         """
         if not schedules:
             return []
         draws = [float(self._rng.standard_normal()) for _ in schedules]
-        outcomes = self._run_batch(schedules, draws)
-        return self._commit_batch(schedules, outcomes)
-
-    def _run_batch(
-        self, schedules: Sequence[Schedule], draws: Sequence[float]
-    ) -> List[Tuple[float, int]]:
-        """Evaluate a batch of (schedule, noise draw) measurement tasks.
-
-        The whole batch goes to the simulator in one vectorised pass.
-        Subclasses override this hook to fan the batch out over a worker
-        pool; results must be returned in submission order.
-        """
-        return simulate_measurement_batch(
+        outcomes = simulate_measurement_batch(
             schedules,
             self.simulator,
             self.noise,
@@ -200,16 +181,15 @@ class Measurer:
             self.max_repeats,
             draws,
         )
+        return self._commit_batch(schedules, outcomes)
 
     def _commit_batch(
         self, schedules: Sequence[Schedule], outcomes: Sequence[Tuple[float, int]]
     ) -> List[MeasureResult]:
         """Fold a batch of measurement outcomes into the global statistics.
 
-        Runs in submission order under single-threaded control, so trial
-        counters, best-per-workload tracking and the progress history are
-        updated atomically per batch regardless of how the batch was
-        evaluated.
+        Runs in submission order, so trial counters, best-per-workload
+        tracking and the progress history are updated atomically per batch.
         """
         results: List[MeasureResult] = []
         for schedule, (latency, repeats) in zip(schedules, outcomes):

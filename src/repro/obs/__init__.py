@@ -5,9 +5,8 @@ Two halves, one import (``from repro import obs``):
 * :mod:`repro.obs.metrics` — thread-safe counters, gauges and fixed-bucket
   latency histograms (p50/p95/p99) in one process-wide registry, with JSON
   snapshots and Prometheus text exposition.  Instruments are always live.
-* :mod:`repro.obs.trace` — context-manager spans with parent/child nesting
-  (surviving thread-pool fan-out via explicit parent ids), instantaneous
-  events, JSONL trace trees.  Armed per session via :func:`tracing`; every
+* :mod:`repro.obs.trace` — context-manager spans with parent/child nesting,
+  instantaneous events, JSONL trace trees.  Armed per session via :func:`tracing`; every
   site is a single global read when unarmed, the same discipline as
   :func:`repro.faults.plan.poll`.
 
@@ -37,7 +36,6 @@ from repro.obs.trace import (
     Span,
     Tracer,
     active_tracer,
-    current_span_id,
     render_tree,
     span,
     trace_event,
@@ -55,7 +53,6 @@ __all__ = [
     "Tracer",
     "active_tracer",
     "counter",
-    "current_span_id",
     "default_registry",
     "gauge",
     "histogram",

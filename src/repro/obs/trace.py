@@ -18,17 +18,16 @@ When no tracer is armed, :func:`span` returns a shared no-op span and
         service.process(requests)
 
 Parent/child nesting is tracked per *logical* thread of execution with a
-:class:`contextvars.ContextVar`.  ``ThreadPoolExecutor`` workers do **not**
-inherit the submitting thread's context, so code that fans work out to a
-pool captures :func:`current_span_id` on the submitting thread and passes it
-to the worker explicitly (``span(name, parent=parent_id)``) — that is how
-``ParallelMeasurer`` keeps its per-chunk spans attached to the batch span.
+:class:`contextvars.ContextVar`: a span's parent is the span open around it
+on the same thread.  Work that should nest under a span therefore runs on
+that span's thread — a server job thread opens ``server.job`` and the job's
+``service.round`` spans itself.
 
 Each finished span becomes one JSONL record::
 
-    {"kind": "span", "id": 3, "parent": 1, "name": "measure.chunk",
+    {"kind": "span", "id": 3, "parent": 1, "name": "service.round",
      "start_s": 0.0123, "duration_s": 0.0040, "wall_time": 1754550000.1,
-     "attrs": {"schedules": 24}}
+     "attrs": {"trials": 24}}
 
 and :func:`render_tree` turns a record list back into an indented text tree
 for ``repro trace``.
@@ -49,7 +48,6 @@ __all__ = [
     "Span",
     "Tracer",
     "active_tracer",
-    "current_span_id",
     "render_tree",
     "span",
     "trace_event",
@@ -58,9 +56,6 @@ __all__ = [
 
 #: Current span id for this logical thread of execution (None at top level).
 _CURRENT: "ContextVar[Optional[int]]" = ContextVar("repro_obs_current_span", default=None)
-
-#: Sentinel: "inherit the parent from the calling context".
-_INHERIT = object()
 
 
 class Span:
@@ -142,16 +137,12 @@ class Tracer:
             self._file = open(self.path, "w", encoding="utf-8")
 
     # ------------------------------------------------------------------ #
-    def span(self, name: str, parent=_INHERIT, **attrs) -> Span:
-        """Open a span.  ``parent`` defaults to the calling context's span;
-        pass an explicit id (or ``None`` for a root) when crossing a thread
-        pool boundary, where contextvars do not follow."""
-        if parent is _INHERIT:
-            parent = _CURRENT.get()
+    def span(self, name: str, **attrs) -> Span:
+        """Open a span under the calling context's current span."""
         with self._lock:
             span_id = self._next_id
             self._next_id += 1
-        return Span(self, span_id, parent, name, dict(attrs))
+        return Span(self, span_id, _CURRENT.get(), name, dict(attrs))
 
     def event(self, name: str, **attrs) -> None:
         """Record an instantaneous event under the current span."""
@@ -256,7 +247,7 @@ def active_tracer() -> Optional[Tracer]:
     return _ACTIVE
 
 
-def span(name: str, parent=_INHERIT, **attrs):
+def span(name: str, **attrs):
     """Open a span on the armed tracer, or return the shared no-op span.
 
     This is *the* instrumentation entry point: one global read when tracing
@@ -265,7 +256,7 @@ def span(name: str, parent=_INHERIT, **attrs):
     tracer = _ACTIVE
     if tracer is None:
         return NULL_SPAN
-    return tracer.span(name, parent=parent, **attrs)
+    return tracer.span(name, **attrs)
 
 
 def trace_event(name: str, **attrs) -> None:
@@ -273,14 +264,6 @@ def trace_event(name: str, **attrs) -> None:
     tracer = _ACTIVE
     if tracer is not None:
         tracer.event(name, **attrs)
-
-
-def current_span_id() -> Optional[int]:
-    """The calling context's span id — capture this before a thread-pool
-    submit and pass it to :func:`span` as ``parent=`` in the worker."""
-    if _ACTIVE is None:
-        return None
-    return _CURRENT.get()
 
 
 @contextmanager

@@ -166,7 +166,7 @@ class TuningService:
         Override job construction: ``factory(name, seed, warm_start_provider)
         -> scheduler``.  The default builds :class:`HARLScheduler` /
         :class:`~repro.baselines.ansor.AnsorScheduler` with the service's
-        target, config and pipeline.
+        target, config and record store.
     warm_start:
         Disable to create jobs cold even when the registry holds relatives
         (used by ablations and tests).
@@ -179,7 +179,6 @@ class TuningService:
         config: Optional[HARLConfig] = None,
         seed: int = 0,
         record_store=None,
-        num_workers: int = 1,
         scheduler_factory: Optional[Callable[..., object]] = None,
         warm_start: bool = True,
         max_warm_start: int = 6,
@@ -190,7 +189,6 @@ class TuningService:
         self.config = config or HARLConfig.scaled()
         self.seed = int(seed)
         self.record_store = record_store
-        self.num_workers = int(num_workers)
         self.scheduler_factory = scheduler_factory
         self.warm_start = bool(warm_start)
         self.max_warm_start = int(max_warm_start)
@@ -238,9 +236,7 @@ class TuningService:
             return self.scheduler_factory(name, seed, provider)
         from repro.experiments.runner import make_measurer
 
-        measurer = make_measurer(
-            self.target, self.config, seed, self.num_workers, self.record_store
-        )
+        measurer = make_measurer(self.target, self.config, seed, self.record_store)
         if name in ("harl", "hierarchical-rl"):
             return HARLScheduler(
                 target=self.target,

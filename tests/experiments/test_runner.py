@@ -1,8 +1,11 @@
 """Unit tests for the head-to-head experiment runners."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core.config import HARLConfig
 from repro.experiments.runner import compare_on_network, compare_on_operator, default_trials
 from repro.networks.graph import NetworkGraph, Subgraph
 from repro.tensor.workloads import gemm, softmax
@@ -60,6 +63,21 @@ class TestOperatorComparison:
         # Each scheduler got its own trial budget (no shared measurer).
         for result in comparison.results.values():
             assert result.trials_used >= 8
+
+    @pytest.mark.parametrize("scheduler", ["harl", "ansor"])
+    def test_records_dir_does_not_change_measurements(self, scheduler, tmp_path):
+        # A non-default r_min: every competitor measures with the run's r_min
+        # whether or not its measurements are persisted.
+        config = dataclasses.replace(HARLConfig.scaled(0.05), min_repeat_seconds=1e-4)
+        plain, persisted = (
+            compare_on_operator(
+                gemm(128, 128, 128), 16, config=config, seed=1,
+                schedulers=(scheduler,), records_dir=records_dir,
+            ).results[scheduler]
+            for records_dir in (None, tmp_path)
+        )
+        assert persisted.best_latency == plain.best_latency
+        assert persisted.history == plain.history
 
 
 class TestNetworkComparison:

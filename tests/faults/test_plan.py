@@ -44,13 +44,13 @@ class TestArrivalWindows:
 
     def test_match_filters_arrival_counting(self):
         plan = FaultPlan(
-            [FaultSpec("parallel.worker", "worker_death", at=1, match="chunk-1")]
+            [FaultSpec("registry.append", "crash", at=1, match="shard-1")]
         )
         # Non-matching arrivals must not advance the window.
-        assert plan.poll("parallel.worker", "chunk-0") is None
-        assert plan.poll("parallel.worker", "chunk-1") is None  # arrival 0
-        assert plan.poll("parallel.worker", "chunk-0") is None
-        assert plan.poll("parallel.worker", "chunk-1") is not None  # arrival 1
+        assert plan.poll("registry.append", "shard-0") is None
+        assert plan.poll("registry.append", "shard-1") is None  # arrival 0
+        assert plan.poll("registry.append", "shard-0") is None
+        assert plan.poll("registry.append", "shard-1") is not None  # arrival 1
 
     def test_first_matching_spec_wins(self):
         plan = FaultPlan(

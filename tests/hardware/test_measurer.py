@@ -86,3 +86,42 @@ class TestStatistics:
         measurer.reset()
         assert measurer.total_trials == 0
         assert measurer.history(schedules[0].dag.name) == []
+
+
+class TestDeterministicNoise:
+    def test_same_seed_same_stream(self, cpu, schedules):
+        first = [r.latency for r in Measurer(cpu, seed=4).measure(schedules)]
+        again = [r.latency for r in Measurer(cpu, seed=4).measure(schedules)]
+        other = [r.latency for r in Measurer(cpu, seed=5).measure(schedules)]
+        assert first == again
+        assert first != other
+
+    def test_remeasuring_same_schedule_draws_fresh_noise(self, cpu, schedules):
+        measurer = Measurer(cpu, noise=0.05, seed=0)
+        first = measurer.measure(schedules[:1])[0]
+        second = measurer.measure(schedules[:1])[0]
+        assert first.latency != second.latency  # different trial index -> new draw
+
+    def test_empty_batch(self, cpu):
+        measurer = Measurer(cpu, seed=0)
+        assert measurer.measure([]) == []
+        assert measurer.total_trials == 0
+
+
+class TestPreload:
+    def test_preload_sets_best_without_trials(self, cpu, schedules):
+        measurer = Measurer(cpu, seed=0)
+        name = schedules[0].dag.name
+        measurer.preload(name, 1e-3, schedules[0])
+        assert measurer.best_latency(name) == 1e-3
+        assert measurer.best_schedule(name) is schedules[0]
+        assert measurer.trials(name) == 0
+        assert measurer.history(name) == []
+
+    def test_preload_keeps_better_existing(self, cpu, schedules):
+        measurer = Measurer(cpu, seed=0)
+        name = schedules[0].dag.name
+        measurer.preload(name, 1e-6, schedules[0])
+        measurer.preload(name, 1e-3, schedules[1])
+        assert measurer.best_latency(name) == 1e-6
+        assert measurer.best_schedule(name) is schedules[0]

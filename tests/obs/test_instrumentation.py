@@ -1,10 +1,9 @@
 """The observability layer as wired into the production stack.
 
-Pins the acceptance-critical behaviours: spans opened in ParallelMeasurer
-worker threads attach to the correct batch parent, the TuningService
-publishes its hit/coalesce counters and submit→finish latency histogram,
-legacy per-instance counters stay in lockstep with their global mirrors, and
-the obligation gate report carries wall-clock durations per row.
+Pins the acceptance-critical behaviours: the TuningService publishes its
+hit/coalesce counters and submit→finish latency histogram, legacy
+per-instance counters stay in lockstep with their global mirrors, and the
+obligation gate report carries wall-clock durations per row.
 """
 
 import pytest
@@ -13,7 +12,6 @@ from repro import obs
 from repro.faults import FaultPlan, FaultSpec
 from repro.faults.obligations import OBLIGATIONS, GateReport, ObligationOutcome
 from repro.hardware.measurer import Measurer
-from repro.hardware.parallel import ParallelMeasurer
 from repro.records import RecordStore
 from repro.serving.registry import ScheduleRegistry
 from repro.serving.service import TuningRequest, TuningService
@@ -28,30 +26,6 @@ def _spans(tracer, name):
 def _counter(name):
     metric = obs.default_registry().get(name)
     return metric.value if metric is not None else 0
-
-
-class TestParallelMeasurerSpans:
-    def test_chunk_spans_attach_to_batch_parent(self, cpu, gemm_sketch, rng):
-        schedules = sample_initial_schedules(gemm_sketch, 16, rng)
-        with obs.tracing() as tracer:
-            with ParallelMeasurer(cpu, num_workers=4, seed=3) as pm:
-                pm.measure(schedules)
-        (batch,) = _spans(tracer, "measure.batch")
-        chunks = _spans(tracer, "measure.chunk")
-        # Worker threads do not inherit contextvars; the explicit parent
-        # passing must still attach every chunk to this batch.
-        assert len(chunks) >= 2
-        assert all(chunk["parent"] == batch["id"] for chunk in chunks)
-        assert len({chunk["id"] for chunk in chunks}) == len(chunks)
-        assert batch["attrs"]["schedules"] == 16
-
-    def test_batch_metrics_without_tracing(self, cpu, gemm_sketch, rng):
-        schedules = sample_initial_schedules(gemm_sketch, 8, rng)
-        with ParallelMeasurer(cpu, num_workers=2, seed=3) as pm:
-            pm.measure(schedules)
-        assert _counter("parallel.batches") == 1
-        hist = obs.default_registry().get("parallel.batch_seconds")
-        assert hist.count == 1
 
 
 class TestServiceInstrumentation:

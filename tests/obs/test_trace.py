@@ -1,7 +1,6 @@
-"""Span tracing: arming, nesting, thread-pool parents, JSONL, rendering."""
+"""Span tracing: arming, nesting, JSONL, rendering."""
 
 import json
-import threading
 
 import pytest
 
@@ -9,7 +8,6 @@ from repro.obs.trace import (
     NULL_SPAN,
     Tracer,
     active_tracer,
-    current_span_id,
     render_tree,
     span,
     trace_event,
@@ -27,7 +25,6 @@ def test_unarmed_span_is_shared_noop():
     with sp as inner:
         inner.annotate(extra=2)  # swallowed
     trace_event("ignored")  # no-op, no error
-    assert current_span_id() is None
 
 
 def test_tracing_arms_and_disarms():
@@ -59,36 +56,17 @@ def test_tracer_disarmed_even_on_exception():
 def test_nested_spans_record_parent_ids():
     with tracing() as tracer:
         with span("outer") as outer:
-            assert current_span_id() == outer.id
             with span("inner") as inner:
                 assert inner.parent == outer.id
                 trace_event("tick", n=1)
-            assert current_span_id() == outer.id
+            with span("sibling") as sibling:
+                # Leaving "inner" made "outer" the current span again.
+                assert sibling.parent == outer.id
     by_name = {r["name"]: r for r in tracer.records}
     assert by_name["outer"]["parent"] is None
     assert by_name["inner"]["parent"] == by_name["outer"]["id"]
     assert by_name["tick"]["kind"] == "event"
     assert by_name["tick"]["parent"] == by_name["inner"]["id"]
-
-
-def test_explicit_parent_crosses_thread_boundary():
-    # ThreadPoolExecutor-style workers do not inherit contextvars: the
-    # submitting side captures current_span_id() and passes it explicitly.
-    with tracing() as tracer:
-        with span("batch"):
-            parent = current_span_id()
-
-            def worker():
-                # fresh thread: inherited context is empty...
-                assert current_span_id() is None
-                with span("chunk", parent=parent):
-                    pass
-
-            t = threading.Thread(target=worker)
-            t.start()
-            t.join()
-    by_name = {r["name"]: r for r in tracer.records}
-    assert by_name["chunk"]["parent"] == by_name["batch"]["id"]
 
 
 def test_span_records_error_attribute_and_propagates():

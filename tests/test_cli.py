@@ -62,14 +62,6 @@ class TestCommands:
 
 
 class TestMeasurementPipelineFlags:
-    def test_num_workers_matches_serial(self, capsys):
-        base = ["tune-op", "--op", "GEMM-S", "--trials", "8", "--scale", "0.05"]
-        assert main(base) == 0
-        serial_out = capsys.readouterr().out
-        assert main(base + ["--num-workers", "3"]) == 0
-        parallel_out = capsys.readouterr().out
-        assert serial_out == parallel_out  # identical table incl. best latency
-
     def test_records_out_and_resume(self, capsys, tmp_path):
         from repro.records import RecordStore
 
