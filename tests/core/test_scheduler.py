@@ -98,6 +98,9 @@ class TestNetworkTuning:
         res_greedy = greedy.tune_network(tiny_network, n_trials=40)
         assert res_mab.extras["use_subgraph_mab"] is True
         assert res_greedy.extras["use_subgraph_mab"] is False
+        # Both count every allocation round, greedy mode included.
+        for result in (res_mab, res_greedy):
+            assert sum(result.extras["subgraph_plays"]) == len(result.latency_history)
         # Both produce a usable estimate.
         assert np.isfinite(res_mab.best_latency)
         assert np.isfinite(res_greedy.best_latency)
