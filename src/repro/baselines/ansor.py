@@ -8,27 +8,24 @@ Ansor's search differs from HARL's exactly where Table 1 says it does:
   (no RL agent),
 * time allocation — fixed-length rounds with a fixed number of measured
   candidates per round.
+
+Everything else (budget loop, resume, warm starts, network allocation loop)
+is the shared :class:`~repro.core.tuner.TuningDriver`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
-import numpy as np
-
-from repro.caching import cached_sketches_for_target
 from repro.baselines.evolutionary import EvolutionarySearch
-from repro.baselines.task_scheduler import GradientTaskScheduler
 from repro.core.config import HARLConfig
-from repro.core.tuner import NetworkTuningResult, TuningResult
+from repro.core.subgraph_reward import GradientTaskScheduler
+from repro.core.tuner import TuningDriver, WorkloadState
 from repro.costmodel.model import ScheduleCostModel
 from repro.hardware.measurer import Measurer
-from repro.hardware.target import HardwareTarget, cpu_target
+from repro.hardware.target import HardwareTarget
 from repro.networks.graph import NetworkGraph
-from repro.tensor.dag import ComputeDAG
-from repro.tensor.schedule import Schedule
-from repro.tensor.sketch import Sketch
 
 __all__ = ["AnsorConfig", "AnsorScheduler"]
 
@@ -59,10 +56,16 @@ class AnsorConfig:
         )
 
 
-class AnsorScheduler:
-    """Evolutionary-search auto-scheduler with greedy task allocation."""
+class AnsorScheduler(TuningDriver):
+    """Evolutionary-search auto-scheduler with greedy task allocation.
+
+    A resumed workload's 8 best recorded schedules seed the evolutionary
+    warm starts; ``record_store`` and ``warm_start_provider`` are described
+    on :class:`~repro.core.tuner.TuningDriver`.
+    """
 
     name = "ansor"
+    replay_seeds = 8
 
     def __init__(
         self,
@@ -71,112 +74,23 @@ class AnsorScheduler:
         seed: int = 0,
         cost_model: Optional[ScheduleCostModel] = None,
         measurer: Optional[Measurer] = None,
-        alpha: float = 0.2,
-        beta: float = 2.0,
         record_store=None,
         warm_start_provider=None,
     ):
-        self.target = target or cpu_target()
-        self.config = config or AnsorConfig()
-        self.seed = int(seed)
-        self.alpha = alpha
-        self.beta = beta
-        self._rng = np.random.default_rng(seed)
-        self.measurer = measurer or Measurer(self.target, seed=seed)
-        self.cost_model = cost_model or ScheduleCostModel(seed=seed)
-        self.record_store = record_store
-        if record_store is not None and self.measurer.record_store is None:
-            self.measurer.record_store = record_store
-        self.warm_start_provider = warm_start_provider
-        self._resume_store = None
-        self._resumed: set = set()
-        self._warm_started: set = set()
-        self._pending_warm: Dict[str, List[Schedule]] = {}
-        self._search_steps: Dict[str, int] = {}
-        self._best_schedules: Dict[str, List[Schedule]] = {}
-        self._rounds: Dict[str, int] = {}
-        self._sketch_lists: Dict[str, List[Sketch]] = {}
-
-    # ------------------------------------------------------------------ #
-    def resume_from(self, store) -> "AnsorScheduler":
-        """Resume tuning from a persisted record store.
-
-        Replayed lazily per workload: the cost model is warm-started with
-        the recorded measurements, the measurer's best-known statistics are
-        preloaded, and the best recorded schedules seed the evolutionary
-        warm starts.  Returns ``self`` for chaining.
-        """
-        self._resume_store = store
-        self._resumed.clear()
-        return self
-
-    def _maybe_replay(self, dag: ComputeDAG) -> None:
-        if self._resume_store is None or dag.name in self._resumed:
-            return
-        self._resumed.add(dag.name)
-        restored = self._resume_store.replay(
-            dag, cost_model=self.cost_model, measurer=self.measurer
+        super().__init__(
+            target,
+            seed=seed,
+            cost_model=cost_model,
+            measurer=measurer,
+            record_store=record_store,
+            warm_start_provider=warm_start_provider,
         )
-        if restored:
-            self._best_schedules[dag.name] = list(reversed(restored[:8]))
+        self.config = config or AnsorConfig()
 
-    def _maybe_warm_start(self, dag: ComputeDAG) -> None:
-        """Queue transferred (registry) schedules for direct measurement."""
-        if self.warm_start_provider is None or dag.name in self._warm_started:
-            return
-        self._warm_started.add(dag.name)
-        seeds = list(self.warm_start_provider(dag) or [])
-        if seeds:
-            self._pending_warm[dag.name] = seeds
-
-    def _sketches(self, dag: ComputeDAG) -> List[Sketch]:
-        sketches = self._sketch_lists.get(dag.name)
-        if sketches is None:
-            sketches = cached_sketches_for_target(dag, self.target)
-            self._sketch_lists[dag.name] = sketches
-        return sketches
-
-    # ------------------------------------------------------------------ #
-    def tune(self, dag: ComputeDAG, n_trials: int) -> TuningResult:
-        """Tune a single operator within a measurement-trial budget."""
-        if n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        self._maybe_replay(dag)
-        self._maybe_warm_start(dag)
-        sketches = self._sketches(dag)
-        start_trials = self.measurer.trials(dag.name)
-        while self.measurer.trials(dag.name) - start_trials < n_trials:
-            remaining = n_trials - (self.measurer.trials(dag.name) - start_trials)
-            self._run_round(dag, sketches, max_measures=remaining)
-        result = self._build_result(dag)
-        if self.record_store is not None:
-            self.record_store.append_result(result)
-        return result
-
-    def _run_round(
-        self, dag: ComputeDAG, sketches: List[Sketch], max_measures: Optional[int] = None
-    ) -> float:
-        """One round: uniform sketch choice, evolutionary search, measure top-K."""
-        pending = self._pending_warm.get(dag.name)
-        if pending:
-            # Transferred schedules are measured directly (one batch) before
-            # the evolutionary search starts, mirroring HARL's warm start.
-            budget = len(pending) if max_measures is None else min(len(pending), max_measures)
-            batch = pending[:budget]
-            self._pending_warm[dag.name] = pending[budget:]
-            results = self.measurer.measure(batch)
-            self.cost_model.update(
-                [r.schedule for r in results], [r.throughput for r in results]
-            )
-            if results:
-                best = min(results, key=lambda r: r.latency)
-                bucket = self._best_schedules.setdefault(dag.name, [])
-                bucket.append(best.schedule)
-                del bucket[:-8]
-                return best.latency
-            return float("inf")
+    def _search_round(self, state: WorkloadState, max_measures: Optional[int]) -> int:
+        """Uniform sketch choice, evolutionary search, measure the top-K."""
         cfg = self.config
-        sketch = sketches[int(self._rng.integers(0, len(sketches)))]
+        sketch = state.sketches[int(self._rng.integers(0, len(state.sketches)))]
         search = EvolutionarySearch(
             cost_model=self.cost_model,
             population_size=cfg.population_size,
@@ -185,99 +99,18 @@ class AnsorScheduler:
             crossover_prob=cfg.crossover_prob,
             rng=self._rng,
         )
-        warm_start = self._best_schedules.get(dag.name)
-        candidates = search.search(sketch, self.target.unroll_depths, warm_start=warm_start)
-        self._search_steps[dag.name] = self._search_steps.get(dag.name, 0) + search.visited
-
+        candidates = search.search(
+            sketch, self.target.unroll_depths, warm_start=state.best_schedules
+        )
         budget = cfg.measures_per_round
         if max_measures is not None:
             budget = min(budget, max_measures)
-        top = [schedule for schedule, _score in candidates[:budget]]
-        results = self.measurer.measure(top)
-        self.cost_model.update([r.schedule for r in results], [r.throughput for r in results])
-        self._rounds[dag.name] = self._rounds.get(dag.name, 0) + 1
+        results = self._measure([schedule for schedule, _score in candidates[:budget]])
+        self._keep_best(state, results)
+        return search.visited
 
-        if results:
-            best = min(results, key=lambda r: r.latency)
-            bucket = self._best_schedules.setdefault(dag.name, [])
-            bucket.append(best.schedule)
-            del bucket[:-8]
-            return best.latency
-        return float("inf")
+    def _extras(self, state: WorkloadState) -> Dict[str, object]:
+        return {"rounds": state.rounds}
 
-    def tune_round(self, dag: ComputeDAG, max_measures: Optional[int] = None) -> int:
-        """Run one incremental tuning round; returns trials consumed.
-
-        The incremental counterpart of :meth:`tune`, used by the
-        multi-tenant :class:`~repro.serving.service.TuningService` to
-        interleave rounds of several jobs under one budget allocator.
-        """
-        if max_measures is not None and max_measures <= 0:
-            return 0
-        self._maybe_replay(dag)
-        self._maybe_warm_start(dag)
-        before = self.measurer.trials(dag.name)
-        self._run_round(dag, self._sketches(dag), max_measures=max_measures)
-        return self.measurer.trials(dag.name) - before
-
-    def finalize(self, dag: ComputeDAG) -> TuningResult:
-        """Build (and persist) the current tuning result of one workload."""
-        result = self._build_result(dag)
-        if self.record_store is not None:
-            self.record_store.append_result(result)
-        return result
-
-    def _build_result(self, dag: ComputeDAG) -> TuningResult:
-        best_latency = self.measurer.best_latency(dag.name)
-        return TuningResult(
-            workload=dag.name,
-            scheduler=self.name,
-            best_latency=best_latency,
-            best_throughput=dag.flops / best_latency if np.isfinite(best_latency) else 0.0,
-            best_schedule=self.measurer.best_schedule(dag.name),
-            trials_used=self.measurer.trials(dag.name),
-            search_steps=self._search_steps.get(dag.name, 0),
-            history=self.measurer.history(dag.name),
-            extras={"rounds": self._rounds.get(dag.name, 0)},
-        )
-
-    # ------------------------------------------------------------------ #
-    def tune_network(self, network: NetworkGraph, n_trials: int) -> NetworkTuningResult:
-        """End-to-end tuning with greedy gradient-based task allocation."""
-        if n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        task_scheduler = GradientTaskScheduler(network, alpha=self.alpha, beta=self.beta)
-        sketch_cache = {
-            sg.name: cached_sketches_for_target(sg.dag, self.target) for sg in network
-        }
-        latency_history: List[Tuple[int, float]] = []
-        start_trials = self.measurer.total_trials
-
-        for sg in network:
-            self._maybe_replay(sg.dag)
-            self._maybe_warm_start(sg.dag)
-        while self.measurer.total_trials - start_trials < n_trials:
-            remaining = n_trials - (self.measurer.total_trials - start_trials)
-            task_name = task_scheduler.next_task()
-            sg = network.subgraph(task_name)
-            trials_before = self.measurer.trials(sg.dag.name)
-            self._run_round(sg.dag, sketch_cache[task_name], max_measures=remaining)
-            spent = self.measurer.trials(sg.dag.name) - trials_before
-            task_scheduler.record(task_name, self.measurer.best_latency(sg.dag.name), spent)
-            latency_history.append(
-                (self.measurer.total_trials - start_trials, task_scheduler.estimated_latency())
-            )
-
-        task_results = {sg.name: self._build_result(sg.dag) for sg in network}
-        if self.record_store is not None:
-            for task_result in task_results.values():
-                self.record_store.append_result(task_result)
-        return NetworkTuningResult(
-            network=network.name,
-            scheduler=self.name,
-            task_results=task_results,
-            task_weights=network.weights(),
-            latency_history=latency_history,
-            allocations=dict(task_scheduler.allocations),
-            extras={"task_names": list(task_scheduler.task_names)},
-        )
+    def _task_policy(self, network: NetworkGraph) -> GradientTaskScheduler:
+        return GradientTaskScheduler(network)

@@ -5,7 +5,9 @@ Table 1) supports neither subgraph nor sketch selection and uses uniform
 fixed-length allocations for every schedule track.  This baseline therefore
 reuses HARL's PPO parameter search with a :class:`FixedLengthStopper`, pinned
 to the first (plain multi-level tiling) sketch, and exposes the per-track
-critical-step positions needed for the Fig. 1(c) observation.
+critical-step positions needed for the Fig. 1(c) observation.  The budget
+loop and resume path are the shared :class:`~repro.core.tuner.TuningDriver`;
+``tune_network`` raises :class:`NotImplementedError`.
 """
 
 from __future__ import annotations
@@ -14,15 +16,14 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.caching import cached_sketches_for_target
 from repro.core.actor_critic import PPOAgent
 from repro.core.adaptive_stopping import FixedLengthStopper
 from repro.core.config import HARLConfig
 from repro.core.parameter_search import ParameterSearcher
-from repro.core.tuner import TuningResult
+from repro.core.tuner import TuningDriver, WorkloadState
 from repro.costmodel.model import ScheduleCostModel
 from repro.hardware.measurer import Measurer
-from repro.hardware.target import HardwareTarget, cpu_target
+from repro.hardware.target import HardwareTarget
 from repro.tensor.actions import ActionSpace
 from repro.tensor.dag import ComputeDAG
 from repro.tensor.features import FEATURE_SIZE
@@ -30,7 +31,34 @@ from repro.tensor.features import FEATURE_SIZE
 __all__ = ["FlextensorScheduler"]
 
 
-class FlextensorScheduler:
+class _FlextensorTask(WorkloadState):
+    """One searcher on the workload's first sketch, plus Fig. 1(c) data."""
+
+    def __init__(self, dag: ComputeDAG, scheduler: "FlextensorScheduler"):
+        super().__init__(dag, scheduler.target)
+        # Flextensor works from a single general template: the plain
+        # multi-level tiling sketch.
+        sketch = self.sketches[0]
+        agent = PPOAgent(
+            feature_size=FEATURE_SIZE,
+            head_sizes=ActionSpace(sketch).head_sizes,
+            config=scheduler.config,
+            seed=scheduler.seed + len(dag.name),
+        )
+        self.searcher = ParameterSearcher(
+            sketch=sketch,
+            agent=agent,
+            cost_model=scheduler.cost_model,
+            measurer=scheduler.measurer,
+            config=scheduler.config,
+            stopper=FixedLengthStopper(episode_length=scheduler.config.episode_length),
+            rng=np.random.default_rng(scheduler.seed + 13),
+        )
+        #: Relative critical-step positions of every track (Fig. 1c data).
+        self.critical_positions: List[float] = []
+
+
+class FlextensorScheduler(TuningDriver):
     """Fixed-length RL parameter search without the hierarchical levels."""
 
     name = "flextensor"
@@ -44,95 +72,19 @@ class FlextensorScheduler:
         measurer: Optional[Measurer] = None,
         record_store=None,
     ):
-        self.target = target or cpu_target()
+        super().__init__(
+            target, seed=seed, cost_model=cost_model, measurer=measurer, record_store=record_store
+        )
         self.config = config or HARLConfig()
-        self.seed = int(seed)
-        self.measurer = measurer or Measurer(self.target, seed=seed)
-        self.cost_model = cost_model or ScheduleCostModel(seed=seed)
-        self.record_store = record_store
-        if record_store is not None and self.measurer.record_store is None:
-            self.measurer.record_store = record_store
-        self._resume_store = None
-        self._resumed: set = set()
-        self._searchers: Dict[str, ParameterSearcher] = {}
-        self._search_steps: Dict[str, int] = {}
-        #: Per-workload list of relative critical-step positions (Fig. 1c data).
-        self.critical_positions: Dict[str, List[float]] = {}
 
-    # ------------------------------------------------------------------ #
-    def _searcher(self, dag: ComputeDAG) -> ParameterSearcher:
-        searcher = self._searchers.get(dag.name)
-        if searcher is None:
-            # Flextensor works from a single general template: the plain
-            # multi-level tiling sketch.
-            sketch = cached_sketches_for_target(dag, self.target)[0]
-            agent = PPOAgent(
-                feature_size=FEATURE_SIZE,
-                head_sizes=ActionSpace(sketch).head_sizes,
-                config=self.config,
-                seed=self.seed + len(dag.name),
-            )
-            searcher = ParameterSearcher(
-                sketch=sketch,
-                agent=agent,
-                cost_model=self.cost_model,
-                measurer=self.measurer,
-                config=self.config,
-                stopper=FixedLengthStopper(episode_length=self.config.episode_length),
-                rng=np.random.default_rng(self.seed + 13),
-            )
-            self._searchers[dag.name] = searcher
-        return searcher
+    def _new_state(self, dag: ComputeDAG) -> _FlextensorTask:
+        return _FlextensorTask(dag, self)
 
-    def resume_from(self, store) -> "FlextensorScheduler":
-        """Resume from a persisted record store (lazy per-workload replay).
+    def _search_round(self, state: _FlextensorTask, max_measures: Optional[int]) -> int:
+        """One fixed-length RL episode."""
+        episode = state.searcher.run_episode(max_measures=max_measures)
+        state.critical_positions.extend(episode.critical_positions)
+        return episode.num_visited
 
-        Warm-starts the cost model with the recorded measurements and
-        preloads the measurer's best-known statistics; returns ``self``.
-        """
-        self._resume_store = store
-        self._resumed.clear()
-        return self
-
-    def tune(self, dag: ComputeDAG, n_trials: int) -> TuningResult:
-        """Tune a single operator with fixed-length RL episodes."""
-        if n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        if self._resume_store is not None and dag.name not in self._resumed:
-            self._resumed.add(dag.name)
-            self._resume_store.replay(
-                dag, cost_model=self.cost_model, measurer=self.measurer
-            )
-        searcher = self._searcher(dag)
-        start_trials = self.measurer.trials(dag.name)
-        positions = self.critical_positions.setdefault(dag.name, [])
-
-        while self.measurer.trials(dag.name) - start_trials < n_trials:
-            remaining = n_trials - (self.measurer.trials(dag.name) - start_trials)
-            episode = searcher.run_episode(max_measures=remaining)
-            self._search_steps[dag.name] = (
-                self._search_steps.get(dag.name, 0) + episode.num_visited
-            )
-            positions.extend(episode.critical_positions)
-
-        best_latency = self.measurer.best_latency(dag.name)
-        result = TuningResult(
-            workload=dag.name,
-            scheduler=self.name,
-            best_latency=best_latency,
-            best_throughput=dag.flops / best_latency if np.isfinite(best_latency) else 0.0,
-            best_schedule=self.measurer.best_schedule(dag.name),
-            trials_used=self.measurer.trials(dag.name),
-            search_steps=self._search_steps.get(dag.name, 0),
-            history=self.measurer.history(dag.name),
-            extras={"critical_positions": list(positions)},
-        )
-        if self.record_store is not None:
-            self.record_store.append_result(result)
-        return result
-
-    def tune_network(self, network, n_trials: int):
-        """Flextensor does not support end-to-end network optimisation (Table 1)."""
-        raise NotImplementedError(
-            "Flextensor does not support end-to-end neural network optimisation"
-        )
+    def _extras(self, state: _FlextensorTask) -> Dict[str, object]:
+        return {"critical_positions": list(state.critical_positions)}

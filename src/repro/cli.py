@@ -442,7 +442,7 @@ def _cmd_tune_op(args) -> int:
     scheduler = _make_scheduler(args.scheduler, target, config, args.seed,
                                 measurer=measurer, record_store=record_store,
                                 warm_start_provider=_warm_start_provider(registry, target))
-    if resume_store is not None and hasattr(scheduler, "resume_from"):
+    if resume_store is not None:
         scheduler.resume_from(resume_store)
     dag = representative_dag(args.op, batch=args.batch)
     result = scheduler.tune(dag, n_trials=args.trials)
@@ -471,7 +471,7 @@ def _cmd_tune_network(args) -> int:
     scheduler = _make_scheduler(args.scheduler, target, config, args.seed,
                                 measurer=measurer, record_store=record_store,
                                 warm_start_provider=_warm_start_provider(registry, target))
-    if resume_store is not None and hasattr(scheduler, "resume_from"):
+    if resume_store is not None:
         scheduler.resume_from(resume_store)
     network = build_network(args.network, batch_size=args.batch)
     result = scheduler.tune_network(network, n_trials=args.trials)

@@ -8,7 +8,8 @@ The hierarchical adaptive auto-scheduler consists of
 * an adaptive-stopping module that prunes schedule tracks with poor advantage
   values, and
 * the parameter-search episode loop (Algorithm 1) with cost-model-based
-  top-K selection, tied together by :class:`~repro.core.scheduler.HARLScheduler`.
+  top-K selection, tied together by :class:`~repro.core.scheduler.HARLScheduler`
+  on the :class:`~repro.core.tuner.TuningDriver` every scheduler shares.
 """
 
 from repro.core.config import HARLConfig

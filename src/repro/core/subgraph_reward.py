@@ -1,4 +1,4 @@
-"""Subgraph-selection reward (Eq. 3 / 4 of the paper).
+"""Subgraph selection: the Eq. 3 reward and the task policies built on it.
 
 The subgraph MAB cannot use raw performance as its reward because every
 subgraph has a different latency scale.  HARL instead reuses Ansor's gradient
@@ -6,16 +6,39 @@ estimation: the expected benefit of spending the next trials on subgraph ``a``
 combines (i) the recent improvement rate of that subgraph and (ii) the
 remaining head-room, estimated both from the optimistic ``g_a / t_a`` bound
 and from the throughput achieved on *similar* subgraphs.
+
+Three task policies allocate a network's tuning rounds with that reward.
+All expose ``next_task()``, ``record()``, ``estimated_latency()`` and
+``allocations``:
+
+* :class:`GradientTaskScheduler` — Ansor's greedy argmax (also the
+  "HARL w/o subgraph MAB" ablation of Table 4),
+* :class:`SubgraphBandit` — HARL's non-stationary SW-UCB bandit over the
+  reward (Eq. 4); unplayed arms are warmed up in random tie-break order,
+* :class:`BanditTaskScheduler` — the same bandit with the greedy policy's
+  deterministic network-order warm-up, used (with its own seeded RNG) by
+  the end-to-end :class:`~repro.experiments.network_runner.NetworkTuner`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["SubgraphState", "subgraph_reward"]
+from repro.core.bandit import SlidingWindowUCB
+from repro.networks.graph import NetworkGraph
+
+__all__ = [
+    "BanditTaskScheduler",
+    "GradientTaskScheduler",
+    "SubgraphBandit",
+    "SubgraphState",
+    "normalized_rewards",
+    "subgraph_reward",
+]
 
 
 @dataclass
@@ -144,3 +167,168 @@ def normalized_rewards(
     scale = max(scale, 1e-30)
     out = np.where(np.isfinite(raw), raw / scale, np.where(np.isnan(raw), 0.0, 1.0))
     return np.clip(out, 0.0, 1.0)
+
+
+class GradientTaskScheduler:
+    """Deterministic greedy task selector driven by the Eq. 3 gradient reward.
+
+    Ansor allocates the next tuning round to the subgraph whose gradient
+    estimation is the largest.  HARL's contribution at this level is
+    replacing the greedy argmax with a non-stationary bandit
+    (:class:`SubgraphBandit`).
+    """
+
+    name = "gradient"
+
+    def __init__(
+        self,
+        network: NetworkGraph,
+        alpha: float = 0.2,
+        beta: float = 2.0,
+        backward_window: int = 3,
+    ):
+        self.network = network
+        self.alpha = float(alpha)
+        self.beta = float(beta)
+        self.backward_window = int(backward_window)
+        self.states: Dict[str, SubgraphState] = {
+            sg.name: SubgraphState(
+                name=sg.name,
+                weight=sg.weight,
+                flops=sg.dag.flops,
+                similarity_group=sg.reward_group,
+            )
+            for sg in network
+        }
+        self.task_names: List[str] = [sg.name for sg in network]
+        self.allocations: Dict[str, int] = {name: 0 for name in self.task_names}
+
+    # ------------------------------------------------------------------ #
+    def rewards(self) -> np.ndarray:
+        """Current normalised gradient reward of every task."""
+        return normalized_rewards(
+            [self.states[name] for name in self.task_names],
+            alpha=self.alpha,
+            beta=self.beta,
+            backward_window=self.backward_window,
+        )
+
+    def _candidates(self, among: Optional[Sequence[str]]) -> List[str]:
+        """Resolve (and validate) the candidate task names of one selection."""
+        if among is None:
+            return list(self.task_names)
+        allowed = set(among)
+        candidates = [name for name in self.task_names if name in allowed]
+        if not candidates:
+            raise ValueError("next_task needs at least one candidate task")
+        return candidates
+
+    def _untuned(self, candidates: Sequence[str]) -> Optional[str]:
+        """First never-tuned candidate: the shared warm-up discipline.
+
+        Every candidate gets one round before any reward-driven selection,
+        so every gradient estimate is grounded in a measurement.
+        """
+        for name in candidates:
+            if self.states[name].rounds == 0:
+                return name
+        return None
+
+    def next_task(self, among: Optional[Sequence[str]] = None) -> str:
+        """Greedy selection: the task with the largest expected benefit.
+
+        Never-tuned tasks are warmed up first (one round each).  ``among``
+        restricts the choice to a subset of task names (used by network
+        drivers to skip tasks whose budget is already settled).
+        """
+        candidates = self._candidates(among)
+        untuned = self._untuned(candidates)
+        if untuned is not None:
+            return untuned
+        rewards = self.rewards()
+        by_name = dict(zip(self.task_names, rewards))
+        return max(candidates, key=lambda name: by_name[name])
+
+    def record(self, task_name: str, best_latency: float, trials: int = 0) -> None:
+        """Record the outcome of a tuning round on ``task_name``.
+
+        ``best_latency`` is the subgraph's best latency after the round:
+        ``+inf`` marks a round whose measurements all failed, but zero,
+        negative and NaN latencies are programming errors and raise, as do
+        negative ``trials`` (mirroring ``HardwareTarget.__post_init__``).
+        """
+        if task_name not in self.states:
+            raise KeyError(task_name)
+        latency = float(best_latency)
+        if math.isnan(latency):
+            raise ValueError(f"latency for task {task_name!r} must not be NaN")
+        if latency <= 0:
+            raise ValueError(
+                f"latency for task {task_name!r} must be positive, got {latency}"
+            )
+        trials = int(trials)
+        if trials < 0:
+            raise ValueError(
+                f"trials for task {task_name!r} must be non-negative, got {trials}"
+            )
+        self.states[task_name].record(latency)
+        self.allocations[task_name] += trials
+
+    def estimated_latency(self) -> float:
+        """Current end-to-end latency estimate ``sum_n w_n * g_n``."""
+        return self.network.estimated_latency(
+            {name: state.best_latency for name, state in self.states.items()}
+        )
+
+
+class SubgraphBandit(GradientTaskScheduler):
+    """HARL's subgraph-selection policy: SW-UCB over the Eq. 3 reward.
+
+    Shares state and validation with the greedy policy but replaces the
+    deterministic argmax with a non-stationary sliding-window UCB bandit, so
+    task selection keeps exploring as the per-task reward distributions
+    drift during the run (Observation 1 / Eq. 4 of the paper).  Unplayed
+    arms score ``+inf``, so the bandit's random tie-break warms every task
+    up once.  ``rng`` is that tie-break stream.
+    """
+
+    name = "subgraph-bandit"
+
+    def __init__(
+        self,
+        network: NetworkGraph,
+        alpha: float = 0.2,
+        beta: float = 2.0,
+        backward_window: int = 3,
+        exploration: float = 0.25,
+        window: int = 256,
+        rng: Optional[np.random.Generator] = None,
+    ):
+        super().__init__(network, alpha=alpha, beta=beta, backward_window=backward_window)
+        self.mab = SlidingWindowUCB(
+            len(self.task_names), exploration=exploration, window=window, rng=rng
+        )
+        self._index = {name: i for i, name in enumerate(self.task_names)}
+
+    def next_task(self, among: Optional[Sequence[str]] = None) -> str:
+        arms = None if among is None else [self._index[n] for n in self._candidates(among)]
+        return self.task_names[self.mab.select(among=arms)]
+
+    def record(self, task_name: str, best_latency: float, trials: int = 0) -> None:
+        super().record(task_name, best_latency, trials=trials)
+        arm = self._index[task_name]
+        self.mab.update(arm, float(self.rewards()[arm]))
+
+
+class BanditTaskScheduler(SubgraphBandit):
+    """:class:`SubgraphBandit` with a deterministic network-order warm-up.
+
+    Every candidate is grounded in one round, in network order, before the
+    bandit takes over — the greedy policy's warm-up discipline.
+    """
+
+    name = "bandit"
+
+    def next_task(self, among: Optional[Sequence[str]] = None) -> str:
+        untuned = self._untuned(self._candidates(among))
+        return untuned if untuned is not None else super().next_task(among)

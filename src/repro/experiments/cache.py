@@ -14,7 +14,7 @@ name, so renamed-but-structurally-identical DAGs share one cache entry.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.core.config import HARLConfig
 from repro.experiments.operator_suite import representative_dag
@@ -107,9 +107,11 @@ def cached_operator_comparison(
     target_name: str = "cpu",
     schedulers: Sequence[str] = ("ansor", "harl"),
     seed: int = 0,
-    config: Optional[HARLConfig] = None,
 ) -> OperatorComparison:
-    """Run (or reuse) a scheduler comparison on one Table 6 operator class."""
+    """Run (or reuse) a scheduler comparison on one Table 6 operator class.
+
+    Every run uses :func:`bench_config`, so the cache key needs no config.
+    """
     dag = representative_dag(op_class, batch=batch)
     key = comparison_cache_key(dag, n_trials, target_name, schedulers, seed)
     if key not in _OPERATOR_CACHE:
@@ -117,7 +119,7 @@ def cached_operator_comparison(
             dag,
             n_trials=n_trials,
             target=resolve_target(target_name),
-            config=config or bench_config(),
+            config=bench_config(),
             seed=seed,
             schedulers=schedulers,
         )
@@ -131,9 +133,8 @@ def cached_network_comparison(
     target_name: str = "cpu",
     schedulers: Sequence[str] = ("ansor", "harl"),
     seed: int = 0,
-    config: Optional[HARLConfig] = None,
 ) -> NetworkComparison:
-    """Run (or reuse) an end-to-end network comparison."""
+    """Run (or reuse) an end-to-end network comparison (with :func:`bench_config`)."""
     network = build_network(network_name, batch_size=batch)
     key = comparison_cache_key(network, n_trials, target_name, schedulers, seed)
     if key not in _NETWORK_CACHE:
@@ -141,7 +142,7 @@ def cached_network_comparison(
             network,
             n_trials=n_trials,
             target=resolve_target(target_name),
-            config=config or bench_config(),
+            config=bench_config(),
             seed=seed,
             schedulers=schedulers,
         )

@@ -13,10 +13,13 @@ has into that system:
   including subgraphs tuned for *other networks* on the same registry
   (MobileNet's convolutions borrow from ResNet's) and, via the target
   catalog, from other devices;
-* each measurement round is allocated to one task by a pluggable policy —
-  the greedy Eq. 3 :class:`~repro.baselines.task_scheduler.GradientTaskScheduler`
-  (Ansor's strategy) or HARL's non-stationary SW-UCB bandit
-  (:class:`BanditTaskScheduler`);
+* each measurement round is allocated to one task by a pluggable policy
+  from :mod:`repro.core.subgraph_reward` — the greedy Eq. 3
+  :class:`~repro.core.subgraph_reward.GradientTaskScheduler` (Ansor's
+  strategy) or HARL's non-stationary SW-UCB bandit
+  (:class:`~repro.core.subgraph_reward.BanditTaskScheduler`, which warms
+  tasks up in network order), the same policy family that
+  ``HARLScheduler.tune_network`` and ``AnsorScheduler.tune_network`` use;
 * the outcome is a :class:`NetworkTuningReport`: the ``f(S)`` trajectory,
   the per-task allocation table and the registry / warm-start provenance of
   every task.
@@ -32,12 +35,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.baselines.task_scheduler import GradientTaskScheduler
-from repro.core.bandit import SlidingWindowUCB
+from repro.core.subgraph_reward import BanditTaskScheduler, GradientTaskScheduler
 from repro.experiments.reporting import format_table
 from repro.networks.graph import NetworkGraph
 from repro.serving.service import (
@@ -57,76 +59,27 @@ __all__ = [
 ]
 
 
-class BanditTaskScheduler(GradientTaskScheduler):
-    """HARL's subgraph-selection policy: SW-UCB over the Eq. 3 reward.
-
-    Shares state/validation with the greedy baseline but replaces the
-    deterministic argmax with a non-stationary sliding-window UCB bandit, so
-    task selection keeps exploring as the per-task reward distributions drift
-    during the run (Observation 1 / Eq. 4 of the paper).
-    """
-
-    name = "bandit"
-
-    def __init__(
-        self,
-        network: NetworkGraph,
-        alpha: float = 0.2,
-        beta: float = 2.0,
-        backward_window: int = 3,
-        exploration: float = 0.25,
-        window: int = 256,
-        seed: int = 0,
-    ):
-        super().__init__(network, alpha=alpha, beta=beta, backward_window=backward_window)
-        self.mab = SlidingWindowUCB(
-            len(self.task_names),
-            exploration=exploration,
-            window=window,
-            rng=np.random.default_rng(seed),
-        )
-        self._index = {name: i for i, name in enumerate(self.task_names)}
-
-    def next_task(self, among: Optional[Sequence[str]] = None) -> str:
-        candidates = self._candidates(among)
-        # Warm-up discipline is shared with the greedy scheduler: every
-        # candidate is grounded in one round before the bandit takes over.
-        untuned = self._untuned(candidates)
-        if untuned is not None:
-            return untuned
-        arm = self.mab.select(among=[self._index[name] for name in candidates])
-        return self.task_names[arm]
-
-    def record(self, task_name: str, best_latency: float, trials: int = 0) -> None:
-        super().record(task_name, best_latency, trials=trials)
-        rewards = self.rewards()
-        arm = self._index[task_name]
-        self.mab.update(arm, float(rewards[arm]))
-
-
 def make_task_policy(
     policy: str,
     network: NetworkGraph,
     config,
     seed: int = 0,
 ):
-    """Build a task-allocation policy by name (``"gradient"`` or ``"bandit"``)."""
+    """Build a task-allocation policy by name (``"gradient"`` or ``"bandit"``).
+
+    The bandit breaks ties with its own ``default_rng(seed)``.
+    """
+    reward = {"alpha": config.alpha, "beta": config.beta,
+              "backward_window": config.backward_window}
     if policy == "gradient":
-        return GradientTaskScheduler(
-            network,
-            alpha=config.alpha,
-            beta=config.beta,
-            backward_window=config.backward_window,
-        )
+        return GradientTaskScheduler(network, **reward)
     if policy == "bandit":
         return BanditTaskScheduler(
             network,
-            alpha=config.alpha,
-            beta=config.beta,
-            backward_window=config.backward_window,
             exploration=config.ucb_constant,
             window=config.ucb_window,
-            seed=seed,
+            rng=np.random.default_rng(seed),
+            **reward,
         )
     raise KeyError(f"unknown task policy {policy!r}; known: bandit, gradient")
 

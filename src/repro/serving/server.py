@@ -89,6 +89,10 @@ _REQUEST_SECONDS = histogram(
     "server.request_seconds", help="Wire latency from request read to response write"
 )
 
+#: Longest request line the front end reads; longer input from the network
+#: is rejected instead of buffered.
+MAX_LINE_BYTES = 1 << 20
+
 #: Worker-side sentinel: answer nothing and close the connection (models a
 #: backend that died mid-request; the client's bounded retry recovers it).
 _DROP = object()
@@ -100,9 +104,7 @@ class ServerConfig:
 
     ``port=0`` binds an ephemeral port (read the real one off
     :attr:`ServingServer.port` after start).  ``rate <= 0`` disables rate
-    limiting, ``quota <= 0`` disables quotas, and ``round_measures`` caps the
-    trials of each ``advance`` round a worker drives (``None`` = drive each
-    job's full remaining budget per round).
+    limiting and ``quota <= 0`` disables quotas.
     """
 
     host: str = "127.0.0.1"
@@ -113,8 +115,6 @@ class ServerConfig:
     rate: float = 0.0        # tokens (requests) per second per tenant
     burst: int = 8           # token-bucket capacity per tenant
     quota: int = 0           # max total measurement trials per tenant
-    round_measures: Optional[int] = None
-    max_line_bytes: int = 1 << 20
 
 
 class _TokenBucket:
@@ -242,7 +242,7 @@ class ServingServer:
             self._handle_connection,
             host=self.config.host,
             port=self.config.port,
-            limit=self.config.max_line_bytes,
+            limit=MAX_LINE_BYTES,
         )
         self.port = server.sockets[0].getsockname()[1]
         trace_event("server.started", host=self.host, port=self.port)
@@ -558,7 +558,7 @@ class ServingServer:
                 dag=dag, n_trials=trials, tenant=tenant, force_tune=force_tune
             ))
             while not handle.done and not self._stop.is_set():
-                self.service.advance(handle, max_measures=self.config.round_measures)
+                self.service.advance(handle)
             if not handle.done:
                 # Server shutdown mid-job: flush best-so-far so no waiter
                 # (local or coalesced) is stranded.

@@ -167,9 +167,6 @@ class TuningService:
         -> scheduler``.  The default builds :class:`HARLScheduler` /
         :class:`~repro.baselines.ansor.AnsorScheduler` with the service's
         target, config and record store.
-    warm_start:
-        Disable to create jobs cold even when the registry holds relatives
-        (used by ablations and tests).
     """
 
     def __init__(
@@ -180,7 +177,6 @@ class TuningService:
         seed: int = 0,
         record_store=None,
         scheduler_factory: Optional[Callable[..., object]] = None,
-        warm_start: bool = True,
         max_warm_start: int = 6,
         catalog=None,
     ):
@@ -190,7 +186,6 @@ class TuningService:
         self.seed = int(seed)
         self.record_store = record_store
         self.scheduler_factory = scheduler_factory
-        self.warm_start = bool(warm_start)
         self.max_warm_start = int(max_warm_start)
         self.catalog = catalog
         self._lock = threading.Lock()
@@ -207,8 +202,6 @@ class TuningService:
     # job construction
     # ------------------------------------------------------------------ #
     def _warm_start_provider(self):
-        if not self.warm_start:
-            return None
         registry, target, k = self.registry, self.target, self.max_warm_start
 
         def provider(dag: ComputeDAG):

@@ -25,7 +25,7 @@ class TestFlextensor:
     def test_uses_single_sketch(self, tiny_config, gemm_dag):
         scheduler = FlextensorScheduler(config=tiny_config, seed=0)
         scheduler.tune(gemm_dag, n_trials=8)
-        searcher = scheduler._searchers[gemm_dag.name]
+        searcher = scheduler._workload(gemm_dag).searcher
         assert searcher.sketch.key == "tiling"
 
     def test_network_tuning_unsupported(self, tiny_config):

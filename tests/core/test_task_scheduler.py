@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.task_scheduler import GradientTaskScheduler
+from repro.core.subgraph_reward import GradientTaskScheduler
 from repro.networks.graph import NetworkGraph, Subgraph
 from repro.tensor.workloads import gemm, softmax
 

@@ -245,8 +245,8 @@ class TestReplayAndResume:
         scheduler = HARLScheduler(config=tiny_config, seed=1).resume_from(
             RecordStore.load(store_path)
         )
-        ctx = scheduler._task(gemm_dag)
-        assert ctx.best_schedules  # replayed schedules seed the episode warm start
+        state = scheduler._workload(gemm_dag)
+        assert state.best_schedules  # replayed schedules seed the episode warm start
 
 
 class TestQueryAPI:
