@@ -28,7 +28,7 @@ from repro.caching import (
 )
 from repro.core import HARLConfig, HARLScheduler, TuningResult
 from repro.baselines import AnsorScheduler, FlextensorScheduler, SimulatedAnnealingScheduler
-from repro.records import MeasureRecord, RecordStore, TuningRecord, load_records, save_records
+from repro.records import MeasureRecord, RecordStore, TuningRecord
 from repro.hardware import HardwareTarget, Measurer, cpu_target, gpu_target
 from repro.costmodel import ScheduleCostModel
 from repro.serving import (
@@ -83,9 +83,7 @@ __all__ = [
     "cached_lowering",
     "cached_sketches",
     "clear_caches",
-    "load_records",
     "reset_cache_stats",
-    "save_records",
     "batch_gemm",
     "build_bert",
     "build_mobilenet_v2",

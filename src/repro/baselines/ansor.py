@@ -22,7 +22,6 @@ from repro.baselines.evolutionary import EvolutionarySearch
 from repro.core.config import HARLConfig
 from repro.core.subgraph_reward import GradientTaskScheduler
 from repro.core.tuner import TuningDriver, WorkloadState
-from repro.costmodel.model import ScheduleCostModel
 from repro.hardware.measurer import Measurer
 from repro.hardware.target import HardwareTarget
 from repro.networks.graph import NetworkGraph
@@ -62,6 +61,8 @@ class AnsorScheduler(TuningDriver):
     A resumed workload's 8 best recorded schedules seed the evolutionary
     warm starts; ``record_store`` and ``warm_start_provider`` are described
     on :class:`~repro.core.tuner.TuningDriver`.
+    :func:`repro.baselines.make_scheduler` builds it as ``ansor``, with
+    :meth:`AnsorConfig.from_harl` of the run's configuration.
     """
 
     name = "ansor"
@@ -72,7 +73,6 @@ class AnsorScheduler(TuningDriver):
         target: Optional[HardwareTarget] = None,
         config: Optional[AnsorConfig] = None,
         seed: int = 0,
-        cost_model: Optional[ScheduleCostModel] = None,
         measurer: Optional[Measurer] = None,
         record_store=None,
         warm_start_provider=None,
@@ -80,7 +80,6 @@ class AnsorScheduler(TuningDriver):
         super().__init__(
             target,
             seed=seed,
-            cost_model=cost_model,
             measurer=measurer,
             record_store=record_store,
             warm_start_provider=warm_start_provider,

@@ -17,7 +17,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.tuner import TuningDriver, TuningResult, WorkloadState
-from repro.costmodel.model import ScheduleCostModel
 from repro.hardware.measurer import Measurer
 from repro.hardware.target import HardwareTarget
 from repro.tensor.actions import ActionSpace, apply_action
@@ -40,6 +39,8 @@ class SimulatedAnnealingScheduler(TuningDriver):
 
     Each :meth:`tune` call anneals from ``initial_temperature`` again and
     cools by ``cooling`` after every round.
+    :func:`repro.baselines.make_scheduler` builds it as ``autotvm``, at
+    these defaults and without a warm-start provider.
     """
 
     name = "autotvm-sa"
@@ -53,15 +54,12 @@ class SimulatedAnnealingScheduler(TuningDriver):
         measures_per_round: int = 64,
         initial_temperature: float = 1.0,
         cooling: float = 0.9,
-        cost_model: Optional[ScheduleCostModel] = None,
         measurer: Optional[Measurer] = None,
         record_store=None,
     ):
         if num_chains < 1 or steps_per_round < 1:
             raise ValueError("num_chains and steps_per_round must be >= 1")
-        super().__init__(
-            target, seed=seed, cost_model=cost_model, measurer=measurer, record_store=record_store
-        )
+        super().__init__(target, seed=seed, measurer=measurer, record_store=record_store)
         self.num_chains = int(num_chains)
         self.steps_per_round = int(steps_per_round)
         self.measures_per_round = int(measures_per_round)

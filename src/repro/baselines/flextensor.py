@@ -21,7 +21,6 @@ from repro.core.adaptive_stopping import FixedLengthStopper
 from repro.core.config import HARLConfig
 from repro.core.parameter_search import ParameterSearcher
 from repro.core.tuner import TuningDriver, WorkloadState
-from repro.costmodel.model import ScheduleCostModel
 from repro.hardware.measurer import Measurer
 from repro.hardware.target import HardwareTarget
 from repro.tensor.actions import ActionSpace
@@ -59,7 +58,11 @@ class _FlextensorTask(WorkloadState):
 
 
 class FlextensorScheduler(TuningDriver):
-    """Fixed-length RL parameter search without the hierarchical levels."""
+    """Fixed-length RL parameter search without the hierarchical levels.
+
+    :func:`repro.baselines.make_scheduler` builds it as ``flextensor``; it
+    takes no warm-start provider.
+    """
 
     name = "flextensor"
 
@@ -68,13 +71,10 @@ class FlextensorScheduler(TuningDriver):
         target: Optional[HardwareTarget] = None,
         config: Optional[HARLConfig] = None,
         seed: int = 0,
-        cost_model: Optional[ScheduleCostModel] = None,
         measurer: Optional[Measurer] = None,
         record_store=None,
     ):
-        super().__init__(
-            target, seed=seed, cost_model=cost_model, measurer=measurer, record_store=record_store
-        )
+        super().__init__(target, seed=seed, measurer=measurer, record_store=record_store)
         self.config = config or HARLConfig()
 
     def _new_state(self, dag: ComputeDAG) -> _FlextensorTask:

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Twelve sub-commands cover the common workflows:
+Eleven sub-commands cover the common workflows:
 
 * ``tune-op``      — tune one Table 6 operator class with a chosen scheduler.
 * ``tune-network`` — tune BERT / ResNet-50 / MobileNet-V2 end to end with one
@@ -17,10 +17,6 @@ Twelve sub-commands cover the common workflows:
   ``--listen HOST:PORT`` it instead runs the long-lived asyncio network
   front end (newline-delimited JSON-RPC with admission control, rate
   limits, quotas and degraded load shedding).
-* ``bench-load``   — boot an embedded network server and replay closed-loop
-  Zipf/burst multi-tenant traffic at it, reporting p50/p99 latency,
-  registry hit rate and shed rate (``--check`` enforces the serving
-  invariants).
 * ``query``        — look a workload up in the schedule registry (exact hit
   plus nearest structural relatives).
 * ``registry``     — maintain the registry: ``stats``, ``export``,
@@ -40,7 +36,8 @@ Twelve sub-commands cover the common workflows:
 
 All latencies come from the simulated hardware targets.  ``--target``
 accepts any catalog name (``repro targets list``) plus the ``cpu`` / ``gpu``
-aliases for the two paper platforms.
+aliases for the two paper platforms.  Every scheduler is built by
+:func:`repro.baselines.make_scheduler`.
 """
 
 from __future__ import annotations
@@ -50,16 +47,13 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from repro.baselines.ansor import AnsorConfig, AnsorScheduler
-from repro.baselines.autotvm import SimulatedAnnealingScheduler
-from repro.baselines.flextensor import FlextensorScheduler
+from repro.baselines import make_scheduler
 from repro.core.config import HARLConfig
-from repro.core.scheduler import HARLScheduler
 from repro.experiments.cache import build_network
 from repro.experiments.operator_suite import OPERATOR_CLASSES, representative_dag
 from repro.experiments.reporting import format_table
 from repro.experiments.network_runner import NetworkTuner
-from repro.experiments.runner import compare_on_operator, make_measurer
+from repro.experiments.runner import compare_on_operator
 from repro.experiments.sweep import sweep_networks, sweep_targets
 from repro.hardware.catalog import default_catalog
 from repro.hardware.target import cpu_target, gpu_target
@@ -76,22 +70,19 @@ __all__ = ["main", "build_parser"]
 _SCHEDULER_CHOICES = ("harl", "hierarchical-rl", "ansor", "flextensor", "autotvm")
 
 _EPILOG = """\
-measurement pipeline flags (available on every sub-command):
+measurement pipeline flags:
 
   --records-out F   Stream every measurement (and the final tuning result) to
                     the append-only JSONL log F while tuning runs.  The log is
                     flushed per line, so a killed run loses at most one line.
-  --resume-from F   Load a JSONL log written by --records-out and resume from
-                    it: the cost model is warm-started with all recorded
-                    measurements and the best recorded schedules seed the
-                    search, so the new trial budget extends the old run
-                    instead of repeating it.  Corrupted lines are skipped.
-
-  For `compare`, --records-out names a directory instead: each competing
-  scheduler writes its own <scheduler>.jsonl log there (no cross-talk), and
-  --resume-from is ignored (comparisons always start from scratch so the
-  head-to-head stays fair).  `serve` and `sweep` also ignore --resume-from:
-  service jobs warm-start from the registry, not from record logs.
+                    For `compare`, F names a directory instead: each competing
+                    scheduler writes its own <scheduler>.jsonl log there.
+  --resume-from F   (tune-op and tune-network) Load a JSONL log written by
+                    --records-out and resume from it: the cost model is
+                    warm-started with all recorded measurements and the best
+                    recorded schedules seed the search, so the new trial
+                    budget extends the old run instead of repeating it.
+                    Corrupted lines are skipped.
 
   --registry DIR    Use the persistent schedule registry at DIR: tuning runs
                     record their best schedules into it (keyed by canonical
@@ -117,30 +108,6 @@ examples:
 """
 
 _NETWORK_CHOICES = ("bert", "resnet50", "mobilenet_v2")
-
-
-def _make_scheduler(name: str, target, config: HARLConfig, seed: int,
-                    measurer=None, record_store=None, warm_start_provider=None):
-    if name == "harl":
-        return HARLScheduler(target=target, config=config, seed=seed,
-                             measurer=measurer, record_store=record_store,
-                             warm_start_provider=warm_start_provider)
-    if name == "hierarchical-rl":
-        return HARLScheduler(target=target, config=config, seed=seed,
-                             adaptive_stopping=False,
-                             measurer=measurer, record_store=record_store,
-                             warm_start_provider=warm_start_provider)
-    if name == "ansor":
-        return AnsorScheduler(target=target, config=AnsorConfig.from_harl(config),
-                              seed=seed, measurer=measurer, record_store=record_store,
-                              warm_start_provider=warm_start_provider)
-    if name == "flextensor":
-        return FlextensorScheduler(target=target, config=config, seed=seed,
-                                   measurer=measurer, record_store=record_store)
-    if name == "autotvm":
-        return SimulatedAnnealingScheduler(target=target, seed=seed,
-                                           measurer=measurer, record_store=record_store)
-    raise KeyError(name)
 
 
 def _admission_flags(parser: argparse.ArgumentParser) -> None:
@@ -185,9 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="HARLConfig.scaled factor (1.0 = paper-scale episodes)")
         p.add_argument("--records-out", metavar="FILE", default=None,
                        help="append every measurement to this JSONL record log")
-        p.add_argument("--resume-from", metavar="FILE", default=None,
-                       help="warm-start from a JSONL record log written by "
-                            "--records-out")
         p.add_argument("--registry", metavar="DIR", default=None,
                        help="persistent schedule registry directory: record "
                             "best schedules into it and warm-start from it")
@@ -212,6 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
     net.add_argument("--network", choices=_NETWORK_CHOICES, default="bert")
     net.add_argument("--batch", type=int, default=1)
     net.add_argument("--scheduler", choices=("harl", "ansor"), default="harl")
+    for p in (op, net):
+        p.add_argument("--resume-from", metavar="FILE", default=None,
+                       help="warm-start from a JSONL record log written by "
+                            "--records-out")
 
     ntw = sub.add_parser(
         "network",
@@ -263,37 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="with --listen: serve this long then exit "
                           "(0 = until Ctrl-C)")
     _admission_flags(srv)
-
-    bld = sub.add_parser(
-        "bench-load",
-        help="closed-loop Zipf/burst load benchmark against an embedded "
-             "network server",
-        epilog=_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    common(bld)
-    bld.set_defaults(trials=4, scale=0.05)
-    bld.add_argument("--clients", type=int, default=4)
-    bld.add_argument("--per-client", type=int, default=25, metavar="N",
-                     help="requests per client (closed loop)")
-    bld.add_argument("--zipf", type=float, default=1.1, metavar="S",
-                     help="Zipf popularity skew over the workload universe")
-    bld.add_argument("--burst-size", type=int, default=4, metavar="N",
-                     help="back-to-back requests per burst")
-    bld.add_argument("--pause", type=float, default=0.02,
-                     help="seconds between bursts")
-    bld.add_argument("--saturate", action="store_true",
-                     help="shrink admission to 1 slot so shedding is "
-                          "exercised even on fast machines")
-    bld.add_argument("--warmup", type=int, default=3, metavar="N",
-                     help="prime the N most popular workloads before the "
-                          "measured run (0 = cold start)")
-    bld.add_argument("--output", metavar="FILE", default=None,
-                     help="write the repro-loadgen/1 report as JSON")
-    bld.add_argument("--check", action="store_true",
-                     help="enforce the machine-independent serving "
-                          "invariants (exit 1 on failure)")
-    _admission_flags(bld)
 
     qry = sub.add_parser("query", help="look a workload up in the registry",
                          epilog=_EPILOG,
@@ -403,8 +340,8 @@ def _resolve_target(name: str):
         raise SystemExit(2) from None
 
 
-def _build_pipeline(args, target, config: HARLConfig):
-    """Resolve the (measurer, record store, resume store) trio for a run."""
+def _build_pipeline(args):
+    """The (record store, resume store) of a tune-op / tune-network run."""
     record_store = RecordStore(args.records_out) if args.records_out else None
     resume_store = None
     if args.resume_from:
@@ -419,8 +356,7 @@ def _build_pipeline(args, target, config: HARLConfig):
                 print(f"error: --resume-from {args.resume_from!r} does not exist",
                       file=sys.stderr)
                 raise SystemExit(2) from None
-    measurer = make_measurer(target, config, args.seed, record_store)
-    return measurer, record_store, resume_store
+    return record_store, resume_store
 
 
 def _open_registry(args) -> Optional[ScheduleRegistry]:
@@ -437,11 +373,11 @@ def _warm_start_provider(registry: Optional[ScheduleRegistry], target):
 def _cmd_tune_op(args) -> int:
     target = _resolve_target(args.target)
     config = HARLConfig.scaled(args.scale)
-    measurer, record_store, resume_store = _build_pipeline(args, target, config)
+    record_store, resume_store = _build_pipeline(args)
     registry = _open_registry(args)
-    scheduler = _make_scheduler(args.scheduler, target, config, args.seed,
-                                measurer=measurer, record_store=record_store,
-                                warm_start_provider=_warm_start_provider(registry, target))
+    scheduler = make_scheduler(args.scheduler, target, config, args.seed,
+                               record_store=record_store,
+                               warm_start_provider=_warm_start_provider(registry, target))
     if resume_store is not None:
         scheduler.resume_from(resume_store)
     dag = representative_dag(args.op, batch=args.batch)
@@ -466,11 +402,11 @@ def _cmd_tune_op(args) -> int:
 def _cmd_tune_network(args) -> int:
     target = _resolve_target(args.target)
     config = HARLConfig.scaled(args.scale)
-    measurer, record_store, resume_store = _build_pipeline(args, target, config)
+    record_store, resume_store = _build_pipeline(args)
     registry = _open_registry(args)
-    scheduler = _make_scheduler(args.scheduler, target, config, args.seed,
-                                measurer=measurer, record_store=record_store,
-                                warm_start_provider=_warm_start_provider(registry, target))
+    scheduler = make_scheduler(args.scheduler, target, config, args.seed,
+                               record_store=record_store,
+                               warm_start_provider=_warm_start_provider(registry, target))
     if resume_store is not None:
         scheduler.resume_from(resume_store)
     network = build_network(args.network, batch_size=args.batch)
@@ -581,11 +517,16 @@ def _cmd_compare(args) -> int:
     target = _resolve_target(args.target)
     config = HARLConfig.scaled(args.scale)
     dag = representative_dag(args.op, batch=args.batch)
-    comparison = compare_on_operator(
-        dag, n_trials=args.trials, target=target, config=config, seed=args.seed,
-        schedulers=("ansor", "harl"),
-        records_dir=args.records_out, registry=args.registry,
-    )
+    registry = _open_registry(args)
+    try:
+        comparison = compare_on_operator(
+            dag, n_trials=args.trials, target=target, config=config, seed=args.seed,
+            schedulers=("ansor", "harl"),
+            records_dir=args.records_out, registry=registry,
+        )
+    finally:
+        if registry is not None:
+            registry.close()
     perf = comparison.normalized_performance()
     times = comparison.normalized_search_time()
     rows = [
@@ -720,78 +661,6 @@ def _cmd_serve(args) -> int:
     if record_store is not None:
         record_store.close()
     registry.close()
-    return 0
-
-
-def _cmd_bench_load(args) -> int:
-    """Boot an embedded network server and replay Zipf/burst traffic at it."""
-    from repro.serving.loadgen import (
-        DEFAULT_UNIVERSE,
-        LoadGenConfig,
-        check_report,
-        run_load,
-    )
-    from repro.serving.netclient import TuningClient
-    from repro.serving.server import ServerConfig, ServingServer
-
-    target = _resolve_target(args.target)
-    registry = _open_registry(args)
-    if registry is None:
-        registry = ScheduleRegistry()
-    service = TuningService(
-        registry=registry, target=target,
-        config=HARLConfig.scaled(args.scale), seed=args.seed,
-    )
-    server_config = ServerConfig(
-        max_inflight=1 if args.saturate else args.max_inflight,
-        workers=args.server_workers,
-        request_timeout=args.request_timeout,
-        rate=args.rate,
-        burst=args.burst,
-        quota=args.quota,
-    )
-    load_config = LoadGenConfig(
-        clients=args.clients,
-        requests_per_client=args.per_client,
-        trials=args.trials,
-        zipf_s=args.zipf,
-        burst=args.burst_size,
-        pause=args.pause,
-        seed=args.seed,
-    )
-    with ServingServer(service, server_config) as server:
-        if args.warmup > 0:
-            # Steady state: tune the Zipf head once so the measured run
-            # exercises the registry fast path under load rather than racing
-            # cold tuning against traffic (machine-speed dependent).
-            with TuningClient(server.host, server.port) as warm:
-                for op, batch in DEFAULT_UNIVERSE[: args.warmup]:
-                    warm.tune(op, batch=batch, trials=args.trials)
-        report = run_load(server.host, server.port, load_config)
-    registry.close()
-
-    lat = report["latency_ms"]
-    print(f"bench-load: {report['answered']}/{report['requests']} answered in "
-          f"{report['wall_seconds']:.2f}s ({report['throughput_rps']:.1f} req/s)")
-    print(f"  latency p50={lat['p50']:.2f}ms p95={lat['p95']:.2f}ms "
-          f"p99={lat['p99']:.2f}ms max={lat['max']:.2f}ms")
-    print(f"  hit rate {report['hit_rate']:.2f}, shed rate "
-          f"{report['shed_rate']:.2f}, outcomes {report['outcomes']}")
-    if args.output:
-        from pathlib import Path
-
-        Path(args.output).write_text(
-            json.dumps(report, indent=2) + "\n", encoding="utf-8"
-        )
-        print(f"report written to {args.output}")
-    if args.check:
-        failures = check_report(report)
-        if failures:
-            print("\nserving invariant failures:", file=sys.stderr)
-            for failure in failures:
-                print(f"  - {failure}", file=sys.stderr)
-            return 1
-        print("serving invariants: all green")
     return 0
 
 
@@ -1083,7 +952,6 @@ _COMMANDS = {
     "network": _cmd_network,
     "compare": _cmd_compare,
     "serve": _cmd_serve,
-    "bench-load": _cmd_bench_load,
     "query": _cmd_query,
     "registry": _cmd_registry,
     "targets": _cmd_targets,

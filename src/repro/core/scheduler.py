@@ -28,7 +28,6 @@ from repro.core.config import HARLConfig
 from repro.core.parameter_search import ParameterSearcher
 from repro.core.subgraph_reward import GradientTaskScheduler, SubgraphBandit
 from repro.core.tuner import TuningDriver, WorkloadState
-from repro.costmodel.model import ScheduleCostModel
 from repro.hardware.measurer import Measurer
 from repro.hardware.target import HardwareTarget
 from repro.networks.graph import NetworkGraph
@@ -77,6 +76,9 @@ class HARLScheduler(TuningDriver):
     record_store, warm_start_provider:
         See :class:`~repro.core.tuner.TuningDriver`.  A resumed workload's
         4 best recorded schedules seed its episode warm starts.
+
+    :func:`repro.baselines.make_scheduler` builds HARL and both ablations by
+    name (``harl``, ``hierarchical-rl``, ``harl-no-subgraph-mab``).
     """
 
     name = "harl"
@@ -89,7 +91,6 @@ class HARLScheduler(TuningDriver):
         seed: int = 0,
         adaptive_stopping: bool = True,
         use_subgraph_mab: bool = True,
-        cost_model: Optional[ScheduleCostModel] = None,
         measurer: Optional[Measurer] = None,
         record_store=None,
         warm_start_provider=None,
@@ -98,7 +99,6 @@ class HARLScheduler(TuningDriver):
         super().__init__(
             target,
             seed=seed,
-            cost_model=cost_model,
             measurer=measurer,
             record_store=record_store,
             warm_start_provider=warm_start_provider,

@@ -5,7 +5,7 @@ level of the search hierarchy decides: subgraph selection (SW-UCB bandit or
 greedy Eq. 3 argmax), sketch selection and schedule search.
 :class:`TuningDriver` owns everything else, once for all four schedulers:
 
-* the default measurer and cost model, and the record-store hookup,
+* the cost model, the default measurer and the record-store hookup,
 * ``resume_from`` and the lazy per-workload replay of a record store,
 * the warm-start queue and its one direct measurement batch,
 * the budget loop of :meth:`~TuningDriver.tune`, the incremental
@@ -16,6 +16,7 @@ greedy Eq. 3 argmax), sketch selection and schedule search.
 
 A scheduler supplies its search round (``_search_round``), its result
 extras and, for network tuning, its task policy.
+:func:`repro.baselines.make_scheduler` builds every scheduler by name.
 """
 
 from __future__ import annotations
@@ -148,11 +149,11 @@ class TuningDriver:
     target:
         Simulated hardware target (defaults to the CPU preset).
     seed:
-        Seeds the default measurer and cost model and the scheduler's own
-        RNG stream ``_rng``.
-    cost_model, measurer:
-        Shared substrate; the defaults are a fresh
-        :class:`~repro.costmodel.model.ScheduleCostModel` and a
+        Seeds the cost model (a fresh
+        :class:`~repro.costmodel.model.ScheduleCostModel`), the default
+        measurer and the scheduler's own RNG stream ``_rng``.
+    measurer:
+        Measurement backend; defaults to a
         :class:`~repro.hardware.measurer.Measurer` with ``min_repeat_seconds``.
     record_store:
         Optional :class:`~repro.records.RecordStore`.  Every measurement is
@@ -176,7 +177,6 @@ class TuningDriver:
         self,
         target: Optional[HardwareTarget] = None,
         seed: int = 0,
-        cost_model: Optional[ScheduleCostModel] = None,
         measurer: Optional[Measurer] = None,
         record_store=None,
         warm_start_provider: Optional[Callable[[ComputeDAG], Sequence[Schedule]]] = None,
@@ -188,7 +188,7 @@ class TuningDriver:
         self.measurer = measurer or Measurer(
             self.target, min_repeat_seconds=min_repeat_seconds, seed=seed
         )
-        self.cost_model = cost_model or ScheduleCostModel(seed=seed)
+        self.cost_model = ScheduleCostModel(seed=seed)
         self.record_store = record_store
         if record_store is not None and self.measurer.record_store is None:
             self.measurer.record_store = record_store

@@ -1,19 +1,15 @@
 """Persistence of tuning results (the equivalent of TVM's log-file records).
 
 Auto-scheduler users keep the best schedules found during long tuning runs so
-they can be re-applied without re-tuning.  This module provides two layers of
-persistence:
-
-* **Snapshot files** — :func:`save_records` / :func:`load_records` write the
-  final :class:`TuningRecord` of each workload to one JSON document, the
-  original seed format.
-* **Append-only JSONL logs** — :class:`RecordStore` streams every individual
-  measurement (and final result) to disk *as it happens*, one JSON object per
-  line.  Because lines are appended and flushed eagerly, a killed tuning run
-  loses at most the line being written; :meth:`RecordStore.load` tolerates a
-  truncated or corrupted trailing line.  A store can be replayed into a fresh
-  scheduler (warm-starting its cost model and best-schedule statistics), which
-  is what powers the CLI's ``--records-out`` / ``--resume-from`` flags.
+they can be re-applied without re-tuning.  :class:`RecordStore` is the one
+persisted format: an append-only JSONL log that streams every individual
+measurement (a ``"measure"`` line) and every final result (a ``"result"``
+line holding a :class:`TuningRecord`) to disk *as it happens*.  Because
+lines are appended and flushed eagerly, a killed tuning run loses at most the
+line being written; :meth:`RecordStore.load` tolerates a truncated or
+corrupted trailing line.  A store can be replayed into a fresh scheduler
+(warm-starting its cost model and best-schedule statistics), which is what
+powers the CLI's ``--records-out`` / ``--resume-from`` flags.
 
 Schedules are serialised structurally (sketch key, tiling depths, knob
 values) and restored against a freshly-built compute DAG of the same
@@ -28,7 +24,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import IO, Iterator, List, Optional, Tuple, Union
 
 from repro.core.tuner import TuningResult
 from repro.faults.plan import poll as poll_fault
@@ -51,9 +47,6 @@ __all__ = [
     "schedule_to_dict",
     "schedule_from_dict",
     "result_to_record",
-    "save_records",
-    "load_records",
-    "best_record",
 ]
 
 
@@ -194,35 +187,6 @@ def result_to_record(result: TuningResult) -> TuningRecord:
             else ""
         ),
     )
-
-
-def save_records(path: Union[str, Path], records: Sequence[Union[TuningRecord, TuningResult]]) -> Path:
-    """Write records (or results, converted on the fly) to a JSON file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = []
-    for record in records:
-        if isinstance(record, TuningResult):
-            record = result_to_record(record)
-        payload.append(record.to_dict())
-    path.write_text(json.dumps({"version": 1, "records": payload}, indent=2))
-    return path
-
-
-def load_records(path: Union[str, Path]) -> List[TuningRecord]:
-    """Load records previously written by :func:`save_records`."""
-    data = json.loads(Path(path).read_text())
-    if data.get("version") != 1:
-        raise ValueError(f"unsupported record file version: {data.get('version')!r}")
-    return [TuningRecord.from_dict(entry) for entry in data["records"]]
-
-
-def best_record(records: Sequence[TuningRecord], workload: str) -> TuningRecord:
-    """The lowest-latency record for a workload."""
-    matching = [r for r in records if r.workload == workload]
-    if not matching:
-        raise KeyError(f"no record for workload {workload!r}")
-    return min(matching, key=lambda r: r.latency)
 
 
 # --------------------------------------------------------------------- #

@@ -13,7 +13,7 @@ Three layers turn the per-run tuner into a shared, reusable system:
   TCP) with admission control, per-tenant rate limits/quotas and degraded
   load shedding, plus the bounded-retry wire client,
 * :mod:`repro.serving.loadgen` — the closed-loop Zipf/burst load generator
-  behind ``make serve-load`` and ``repro bench-load``.
+  behind ``make serve-load``.
 
 Submodules are imported lazily so low-level modules (``repro.records``) can
 use the fingerprint helpers without pulling in the registry/service layers

@@ -13,10 +13,11 @@ arriving in **bursts** (``burst`` back-to-back requests, then a
 The report (``repro-loadgen/1``) carries client-observed p50/p95/p99/max
 response latency, the outcome census (ok / degraded / rate_limited /
 timeout / ...), the registry **hit rate** over answered requests, the
-**shed rate**, and the server's own counters.  Invariants the benchmark
-gate checks (see ``benchmarks/perf/loadgen.py --check``): every request is
-answered — transport failures after bounded retry are counted, never
-ignored — and every shed answer is degraded with zero fresh trials.
+**shed rate**, and the server's own counters.  ``make serve-load`` runs it
+against an embedded server.  Invariants the benchmark gate checks (see
+``benchmarks/perf/loadgen.py --check``): every request is answered —
+transport failures after bounded retry are counted, never ignored — and
+every shed answer is degraded with zero fresh trials.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.serving.netclient import NetClientError, TuningClient
 
@@ -130,8 +131,8 @@ def _client_loop(host: str, port: int, cfg: LoadGenConfig, index: int,
 def check_report(report: dict, hit_rate_floor: float = HIT_RATE_FLOOR) -> List[str]:
     """Machine-independent serving-invariant failures (empty = pass).
 
-    Checked by ``benchmarks/perf/loadgen.py --check`` and ``repro bench-load
-    --check``; deliberately latency-free so it cannot flake across runners:
+    Checked by ``benchmarks/perf/loadgen.py --check`` (``make serve-load``);
+    deliberately latency-free so it cannot flake across runners:
 
     * every request is answered — no silent drops, no unbounded hangs,
     * every degraded (shed) answer consumed zero fresh trials,

@@ -32,9 +32,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.baselines import make_scheduler
 from repro.caching import cached_lowering
 from repro.core.config import HARLConfig
-from repro.core.scheduler import HARLScheduler
 from repro.core.subgraph_reward import SubgraphState, normalized_rewards
 from repro.core.tuner import TuningResult
 from repro.faults.plan import InjectedCrash, poll as poll_fault
@@ -164,9 +164,10 @@ class TuningService:
         finished job's registry provenance.
     scheduler_factory:
         Override job construction: ``factory(name, seed, warm_start_provider)
-        -> scheduler``.  The default builds :class:`HARLScheduler` /
-        :class:`~repro.baselines.ansor.AnsorScheduler` with the service's
-        target, config and record store.
+        -> scheduler``; tests use it to substitute fakes.  The default is
+        :func:`~repro.baselines.make_scheduler` with the service's target,
+        config and record store, so a request may name any scheduler the
+        factory knows.
     """
 
     def __init__(
@@ -227,31 +228,10 @@ class TuningService:
         provider = self._warm_start_provider()
         if self.scheduler_factory is not None:
             return self.scheduler_factory(name, seed, provider)
-        from repro.experiments.runner import make_measurer
-
-        measurer = make_measurer(self.target, self.config, seed, self.record_store)
-        if name in ("harl", "hierarchical-rl"):
-            return HARLScheduler(
-                target=self.target,
-                config=self.config,
-                seed=seed,
-                adaptive_stopping=(name == "harl"),
-                measurer=measurer,
-                record_store=self.record_store,
-                warm_start_provider=provider,
-            )
-        if name == "ansor":
-            from repro.baselines.ansor import AnsorConfig, AnsorScheduler
-
-            return AnsorScheduler(
-                target=self.target,
-                config=AnsorConfig.from_harl(self.config),
-                seed=seed,
-                measurer=measurer,
-                record_store=self.record_store,
-                warm_start_provider=provider,
-            )
-        raise KeyError(f"unknown service scheduler {name!r}")
+        return make_scheduler(
+            name, self.target, self.config, seed,
+            record_store=self.record_store, warm_start_provider=provider,
+        )
 
     def _registry_answer(self, request: TuningRequest, fingerprint: str, entry):
         """Synthesize a zero-trial result from a registry entry.
@@ -586,9 +566,9 @@ class TuningService:
         """Run one tuning round on the job serving ``handle``.
 
         This is the hook for drivers that own the budget-allocation policy
-        themselves (the :class:`~repro.experiments.network_runner.NetworkTuner`
-        allocates rounds across a network's subgraphs with the Eq. 3 gradient
-        or the HARL bandit) instead of delegating to :meth:`run`.  Returns the
+        themselves (the end-to-end ``NetworkTuner`` allocates rounds across a
+        network's subgraphs with the Eq. 3 gradient or the HARL bandit)
+        instead of delegating to :meth:`run`.  Returns the
         measurement trials consumed — 0 when the handle is already done
         (registry hit, or its job finished through a coalesced sibling), or
         when ``max_measures=0`` (a budget probe — the job stays active).

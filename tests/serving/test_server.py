@@ -15,6 +15,7 @@ Covers the acceptance-critical serving behaviours over a real TCP socket:
 
 import threading
 import time
+import typing
 
 import pytest
 
@@ -271,3 +272,7 @@ class TestLoadGenerator:
         p = report["latency_ms"]
         assert 0 <= p["p50"] <= p["p95"] <= p["p99"] <= p["max"]
         assert report["server"]["requests"] >= 12
+
+    def test_run_load_annotations_resolve(self):
+        hints = typing.get_type_hints(run_load)
+        assert hints["config"] == typing.Optional[LoadGenConfig]

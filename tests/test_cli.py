@@ -3,6 +3,11 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.config import HARLConfig
+from repro.experiments.operator_suite import representative_dag
+from repro.experiments.runner import compare_on_operator
+from repro.hardware.target import cpu_target
+from repro.serving.registry import ScheduleRegistry
 
 
 class TestParser:
@@ -110,6 +115,12 @@ class TestMeasurementPipelineFlags:
         assert excinfo.value.code == 2
         assert "does not exist" in capsys.readouterr().err
 
+    def test_resume_from_only_where_it_is_read(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--resume-from", "x.jsonl"])
+        assert excinfo.value.code == 2
+        assert "--resume-from" in capsys.readouterr().err
+
 
 class TestServingCommands:
     def test_serve_demo_then_registry_hits(self, capsys, tmp_path):
@@ -155,6 +166,18 @@ class TestServingCommands:
         out = capsys.readouterr().out
         assert "exact hit:   none" in out
         assert "nearest relative" in out  # the GEMM entry is offered as relative
+
+    def test_compare_registry_is_closed_with_the_best_result(self, capsys, tmp_path):
+        registry = tmp_path / "registry"
+        assert main(["compare", "--op", "GEMM-S", "--trials", "8", "--scale", "0.05",
+                     "--registry", str(registry)]) == 0
+        # Closing the registry writes the index sidecar the next open loads.
+        assert list(registry.glob("shard-*.idx.json"))
+        dag = representative_dag("GEMM-S")
+        comparison = compare_on_operator(dag, 8, config=HARLConfig.scaled(0.05),
+                                         schedulers=("ansor", "harl"))
+        best = min(r.best_latency for r in comparison.results.values())
+        assert ScheduleRegistry(registry).lookup(dag, cpu_target(), k=0).entry.latency == best
 
     def test_registry_maintenance_commands(self, capsys, tmp_path):
         registry = tmp_path / "registry"

@@ -5,11 +5,9 @@ import pytest
 from repro.core.scheduler import HARLScheduler
 from repro.hardware.simulator import LatencySimulator
 from repro.records import (
+    RecordStore,
     TuningRecord,
-    best_record,
-    load_records,
     result_to_record,
-    save_records,
     schedule_from_dict,
     schedule_to_dict,
 )
@@ -63,40 +61,29 @@ class TestRecordFiles:
         assert record.latency == tuning_result.best_latency
         assert record.schedule is not None
 
-    def test_save_and_load_roundtrip(self, tuning_result, tmp_path):
-        path = save_records(tmp_path / "logs" / "records.json", [tuning_result])
-        loaded = load_records(path)
+    @staticmethod
+    def _reloaded_result(tuning_result, path):
+        """The result line ``RecordStore.append_result`` wrote, read back from disk."""
+        with RecordStore(path) as store:
+            store.append_result(tuning_result)
+        loaded = RecordStore.load(path).query(kind="result")
         assert len(loaded) == 1
-        record = loaded[0]
+        return loaded[0]
+
+    def test_save_and_load_roundtrip(self, tuning_result, tmp_path):
+        record = self._reloaded_result(tuning_result, tmp_path / "logs" / "records.jsonl")
         assert record.workload == tuning_result.workload
         assert record.latency == pytest.approx(tuning_result.best_latency)
         assert record.history  # progress curve persisted
 
     def test_restored_schedule_reproduces_latency(self, tuning_result, tmp_path, cpu, gemm_dag):
-        path = save_records(tmp_path / "records.json", [tuning_result])
-        record = load_records(path)[0]
+        record = self._reloaded_result(tuning_result, tmp_path / "records.jsonl")
         restored = record.restore_schedule(gemm_dag)
         sim = LatencySimulator(cpu)
         # The stored latency includes measurement noise; the simulator value is close.
         assert sim.latency(restored) == pytest.approx(record.latency, rel=0.2)
 
-    def test_best_record_selection(self):
-        records = [
-            TuningRecord("w", "a", 2.0, 1.0, 10, None, []),
-            TuningRecord("w", "b", 1.0, 2.0, 10, None, []),
-            TuningRecord("other", "c", 0.1, 5.0, 10, None, []),
-        ]
-        assert best_record(records, "w").scheduler == "b"
-        with pytest.raises(KeyError):
-            best_record(records, "missing")
-
     def test_restore_without_schedule_rejected(self, gemm_dag):
         record = TuningRecord("w", "a", 1.0, 1.0, 1, None, [])
         with pytest.raises(ValueError):
             record.restore_schedule(gemm_dag)
-
-    def test_version_check(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"version": 99, "records": []}')
-        with pytest.raises(ValueError):
-            load_records(bad)
