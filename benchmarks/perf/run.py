@@ -270,33 +270,50 @@ def bench_tuning_round(repeats: int, n_trials: int) -> Dict[str, object]:
     return _stage("tuning_round", samples, n_trials, "trials/s")
 
 
-def bench_obs_overhead(repeats: int, n_trials: int) -> Dict[str, object]:
+def bench_obs_overhead(pairs: int, n_trials: int) -> Dict[str, object]:
     """Instrumentation overhead on the harness's tuning stage.
 
     Times the full ``NetworkTuner`` run (the harness stage that crosses every
     instrumented layer: service rounds, measurement batches, registry appends,
-    cache lookups) with tracing unarmed versus armed, and reports the
-    fractional overhead.  ``compare.py --max-obs-overhead`` gates this at 2%.
+    cache lookups) with tracing unarmed and armed, in ``pairs`` back-to-back
+    pairs whose order flips every pair, so drifting host load hits both sides
+    alike.  Each run is timed in process CPU time (the stage is
+    single-threaded), and ``overhead_frac`` is the median per-pair
+    traced/untraced ratio minus one.  ``compare.py --max-obs-overhead`` gates
+    it at 2%.
     """
-    baseline = _time(lambda: _run_network_tuning(n_trials), repeats, warmup=1)
+
+    def untraced():
+        return _run_network_tuning(n_trials)
 
     def traced():
         with obs.tracing():
             return _run_network_tuning(n_trials)
 
-    armed = _time(traced, repeats, warmup=1)
+    untraced()
+    traced()
+    baseline, armed, ratios = [], [], []
+    for pair in range(pairs):
+        seconds = {}
+        for run in (untraced, traced) if pair % 2 == 0 else (traced, untraced):
+            start = time.process_time()
+            run()
+            seconds[run] = time.process_time() - start
+        baseline.append(seconds[untraced])
+        armed.append(seconds[traced])
+        ratios.append(seconds[traced] / seconds[untraced])
+    overhead = statistics.median(ratios) - 1.0
     baseline_median = statistics.median(baseline)
     traced_median = statistics.median(armed)
-    overhead = (
-        traced_median / baseline_median - 1.0 if baseline_median > 0 else 0.0
-    )
     print(
         f"  {'obs_overhead':<22} baseline {baseline_median * 1e3:9.3f} ms   "
-        f"traced {traced_median * 1e3:9.3f} ms   overhead {overhead * 100:+.2f}%"
+        f"traced {traced_median * 1e3:9.3f} ms   overhead {overhead * 100:+.2f}% "
+        f"(median of {pairs} interleaved CPU-time pairs)"
     )
     return {
         "baseline_median_s": baseline_median,
         "traced_median_s": traced_median,
+        "pairs": pairs,
         "overhead_frac": overhead,
     }
 
@@ -363,7 +380,7 @@ def run_harness(repeats: int, batch: int, n_trials: int) -> Dict[str, object]:
     }
     # Outside "stages": the stage loop in compare.py (and old baselines)
     # only knows throughput entries; the overhead check reads this key.
-    obs_overhead = bench_obs_overhead(max(2, repeats // 2), n_trials)
+    obs_overhead = bench_obs_overhead(max(5, repeats), n_trials)
     return {
         "schema_version": SCHEMA_VERSION,
         "suite": "hot-path-microbench",

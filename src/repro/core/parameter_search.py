@@ -122,13 +122,33 @@ class ParameterSearcher:
         warm_start: Optional[Sequence[Schedule]] = None,
         max_measures: Optional[int] = None,
     ) -> EpisodeResult:
-        """Run one full episode and return its measurements and statistics."""
+        """Run one full episode and return its measurements and statistics.
+
+        Every visited schedule gets one feature extraction and one score.  Its
+        feature row serves as the agent's state and as the cost model's
+        input, because feature rows do not depend on the rest of the batch.
+        When every track's workload has a fitted model at the start, a live
+        track's score before a step is the score recorded for it after the
+        previous one: the model does not change within an episode and scores
+        each row on its own, so predicting it again would give the same
+        value.  On a cold workload the live schedules are predicted again
+        before the new ones, because each prediction draws the random prior
+        from the model's RNG.
+        """
         cfg = self.config
         tracks = self._initial_tracks(warm_start)
         # history of visited schedules: signature -> (schedule, best predicted score)
         history: Dict[Tuple, Tuple[Schedule, float]] = {}
+        fitted = all(
+            self.cost_model.is_trained(name) for name in {t.schedule.dag.name for t in tracks}
+        )
 
-        initial_scores = self.cost_model.predict([t.schedule for t in tracks])
+        # Feature rows of the live tracks' schedules, in ``live`` order.  Each
+        # step's next states become the following step's states: carrying
+        # them over (minus the eliminated tracks' rows) equals extracting them
+        # again.
+        states = batch_features([t.schedule for t in tracks])
+        initial_scores = self.cost_model.predict([t.schedule for t in tracks], features=states)
         for track, score in zip(tracks, initial_scores):
             track.scores.append(float(score))
             self._record(history, track.schedule, float(score))
@@ -136,11 +156,6 @@ class ParameterSearcher:
         step = 0
         num_visited = len(tracks)
         rl_stats: Dict[str, float] = {}
-        # Feature rows of the live tracks' schedules, in ``live`` order.  Each
-        # step's next states become the following step's states: feature
-        # rows do not depend on the rest of the batch, so carrying them over
-        # (minus the eliminated tracks' rows) equals extracting them again.
-        states = batch_features([t.schedule for t in tracks])
 
         while (
             self.stopper.should_continue(step, sum(t.alive for t in tracks))
@@ -156,12 +171,15 @@ class ParameterSearcher:
                 action = self.action_space.decode(tuple(action_indices))
                 new_schedules.append(apply_action(track.schedule, action))
 
-            old_scores = self.cost_model.predict([t.schedule for t in live])
-            new_scores = self.cost_model.predict(new_schedules)
+            if fitted:
+                old_scores = np.array([t.scores[-1] for t in live])
+            else:
+                old_scores = self.cost_model.predict([t.schedule for t in live])
+            next_states = batch_features(new_schedules)
+            new_scores = self.cost_model.predict(new_schedules, features=next_states)
             rewards = (new_scores - old_scores) / (np.abs(old_scores) + 1e-6)
             rewards = np.clip(rewards, -2.0, 2.0)
 
-            next_states = batch_features(new_schedules)
             next_values = self.agent.value(next_states)
             td_targets, advantages = self.agent.compute_advantage(
                 rewards, batch.values, next_values

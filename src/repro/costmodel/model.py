@@ -12,7 +12,7 @@ scores are comparable across workloads and usable directly as RL rewards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -126,7 +126,9 @@ class ScheduleCostModel:
         data = self._data.get(workload_name)
         return len(data.throughputs) if data else 0
 
-    def predict(self, schedules: Sequence[Schedule]) -> np.ndarray:
+    def predict(
+        self, schedules: Sequence[Schedule], features: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Predicted performance score per schedule (≈ 1.0 for the best seen).
 
         Schedules are grouped by workload.  A workload with a fitted model
@@ -135,6 +137,12 @@ class ScheduleCostModel:
         from this model's RNG, one draw per schedule in batch order.  Features
         are extracted only for the fitted workloads, since the prior does not
         read them.
+
+        ``features``, when given, is ``batch_features(schedules)``: one row
+        per schedule, in batch order.  The fitted workloads then read their
+        rows from it instead of extracting them again.  A schedule's feature
+        row and its score do not depend on the rest of the batch, so the
+        scores are the same either way.
         """
         if not schedules:
             return np.zeros(0, dtype=np.float64)
@@ -148,7 +156,10 @@ class ScheduleCostModel:
                 # Cold start: weak uninformative prior, like an untrained booster.
                 scores[indices] = 0.05 * self._rng.random(len(indices))
             else:
-                feats = batch_features([schedules[i] for i in indices])
+                if features is None:
+                    feats = batch_features([schedules[i] for i in indices])
+                else:
+                    feats = features[indices]
                 scores[indices] = np.clip(model.predict(feats), 0.0, None)
         return scores
 
@@ -182,7 +193,10 @@ class RandomCostModel:
     def num_samples(self, workload_name: str) -> int:
         return 0
 
-    def predict(self, schedules: Sequence[Schedule]) -> np.ndarray:
+    def predict(
+        self, schedules: Sequence[Schedule], features: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """One uniform draw per schedule; ``features`` is accepted and ignored."""
         return self._rng.random(len(schedules))
 
     def predict_throughput(self, schedules: Sequence[Schedule]) -> np.ndarray:

@@ -6,11 +6,26 @@ sums over the sorted feature values, so fitting stays fast for the few
 thousand samples collected during a tuning run.
 
 Growth sorts once per tree: :meth:`RegressionTree.fit` stable-argsorts every
-column of the training matrix up front, and each node hands its children
-their share of that per-feature order through a stable boolean partition.
-Filtering a stable sort leaves the order a fresh stable sort of the node's
-rows would give, so split search needs no per-node ``argsort`` and grows the
-same trees, bit for bit, as sorting every node afresh.
+*live* column of the training matrix up front, and each node hands its
+children their share of that per-feature order through a stable boolean
+partition.  Filtering a stable sort leaves the order a fresh stable sort of
+the node's rows would give, so split search needs no per-node ``argsort`` and
+grows the same trees, bit for bit, as sorting every node afresh.
+
+Growth also skips work that can never produce a split, without changing a
+single tree:
+
+* A column constant over the tree's rows is constant in every node, so it
+  never has two distinct adjacent values.  Such columns (most of a tuning
+  run's feature columns) are left out of the presort, the partitions and the
+  split search.  Each node still draws its candidate features from all
+  columns, so the RNG stream is unchanged, and then keeps the live ones; a
+  node that drew only constant columns is a leaf, as every gain would be
+  ``-inf``.
+* Each node evaluates the split gain only at the sorted positions whose
+  adjacent values differ, the only positions that give a threshold.  The
+  prefix sums still run over every sorted row, since their sequential order
+  is what the gains must reproduce.
 
 Prediction descends flat node arrays (:class:`PackedTrees`): feature,
 threshold, child indices and leaf value, with every leaf looping back to
@@ -151,19 +166,25 @@ class RegressionTree:
         Nodes are numbered in pre-order, in the order their split search
         draws candidate features from the RNG.  A leaf has feature ``-1`` and
         children ``-1``.  Each node works on ``rows`` (its training rows,
-        ascending) and ``order`` (``(d, n_node)``: per feature, the same rows
-        sorted by that feature's value, stable).
+        ascending) and ``order`` (``(n_live, n_node)``: per live column, the
+        same rows sorted by that column's value, stable).
         """
         features: list = []
         thresholds: list = []
         lefts: list = []
         rights: list = []
         values: list = []
+        n_rows, n_features = X.shape
         XT = np.ascontiguousarray(X.T)
-        goes_left = np.zeros(X.shape[0], dtype=bool)
+        # Row ``slot[f]`` of ``order`` holds column ``f``; -1 for a column
+        # constant over the tree's rows.
+        live = np.flatnonzero((XT[:, 1:] != XT[:, :1]).any(axis=1))
+        slot = np.full(n_features, -1, dtype=np.intp)
+        slot[live] = np.arange(len(live))
+        goes_left = np.zeros(n_rows, dtype=bool)
         self._depth = 0
         # (rows, order, depth, the parent's child list to link into, parent)
-        stack = [(np.arange(X.shape[0]), np.argsort(XT, axis=1, kind="stable"), 0, None, -1)]
+        stack = [(np.arange(n_rows), np.argsort(XT[live], axis=1, kind="stable"), 0, None, -1)]
         while stack:
             rows, order, depth, link, parent = stack.pop()
             idx = len(values)
@@ -184,7 +205,7 @@ class RegressionTree:
                 or np.all(np.abs(y_node - y_node[0]) <= 1e-8 + 1e-5 * abs(y_node[0]))
             ):
                 continue
-            feature, threshold, gain = self._best_split(XT, y, y_node, total_sum, order)
+            feature, threshold, gain = self._best_split(XT, y, y_node, total_sum, order, slot)
             if feature < 0 or gain < self.min_gain:
                 continue
 
@@ -217,33 +238,56 @@ class RegressionTree:
         y_node: np.ndarray,
         total_sum: float,
         order: np.ndarray,
+        slot: np.ndarray,
     ):
         """Exact greedy split over all candidate features in one NumPy pass.
 
-        ``order`` holds the node's rows presorted along every feature, so the
-        candidate columns are gathered already sorted and prefix-summed
-        together (one ``(K, n)`` pass instead of ``K`` per-feature sorts).
-        ``y_node`` is the node's targets in row order and ``total_sum`` their
-        sum.  Sums, gains, validity masks and the first-maximum tie-breaking
-        replicate a per-feature sort-and-scan of the node's rows bit for bit
-        (the per-node oracle in the tree tests), so both grow identical trees.
+        ``order`` holds the node's rows presorted along every live column and
+        ``slot`` maps a column to its row of ``order`` (-1 for a column
+        constant over the tree's rows).  The live candidate columns are
+        gathered already sorted and prefix-summed together (one ``(K, n)``
+        pass instead of ``K`` per-feature sorts).  ``y_node`` is the node's
+        targets in row order and ``total_sum`` their sum.
+
+        Gains are computed only at the valid split positions: ``min_samples_leaf``
+        rows on both sides and distinct adjacent values.  The first maximum in
+        row-major (candidate, position) order is the split a per-feature scan
+        picks (the first maximum of the first best feature).  Sums, gains and
+        tie-breaking replicate a per-feature sort-and-scan of the node's rows
+        over every drawn column bit for bit (the per-node oracle in the tree
+        tests), so both grow identical trees.
         """
         n_samples = order.shape[1]
         total_sq = float((y_node * y_node).sum())
         base_sse = total_sq - total_sum * total_sum / n_samples
+        # Draw from every column, so the RNG stream does not depend on which
+        # columns are live, then keep the live draws in draw order: a
+        # constant column has no valid position.
         features = self._candidate_features(len(XT))
-
-        sorted_rows = order[features]
+        slots = slot[features]
+        drawn_live = slots >= 0
+        features = features[drawn_live]
+        if not len(features):
+            return -1, 0.0, 0.0
+        sorted_rows = order[slots[drawn_live]]
         v_sorted = XT.take(sorted_rows + (features * XT.shape[1])[:, None])
-        y_sorted = y.take(sorted_rows)
 
         # Splitting after sorted position p sends p + 1 rows left; only the
-        # positions in [lo, hi) leave min_samples_leaf rows on both sides.
+        # positions in [lo, hi) leave min_samples_leaf rows on both sides, and
+        # only those before a larger value give a threshold.  ``at`` counts
+        # from ``lo``.
         lo, hi = self.min_samples_leaf - 1, n_samples - self.min_samples_leaf
-        left_count = np.arange(lo + 1, hi + 1)
-        right_count = n_samples - left_count
-        left_sum = np.cumsum(y_sorted, axis=1)[:, lo:hi]
-        left_sq = np.cumsum(np.multiply(y_sorted, y_sorted, out=y_sorted), axis=1)[:, lo:hi]
+        cand, at = (v_sorted[:, lo:hi] < v_sorted[:, lo + 1 : hi + 1]).nonzero()
+        if not len(cand):
+            return -1, 0.0, 0.0
+        left_count = at + (lo + 1.0)
+        right_count = (n_samples - lo - 1.0) - at
+        # Prefix sums over every sorted row, in sequence: the sums a
+        # per-feature scan computes.
+        y_sorted = y.take(sorted_rows)
+        left_sum = y_sorted.cumsum(axis=1)[:, lo:hi][cand, at]
+        np.multiply(y_sorted, y_sorted, out=y_sorted)
+        left_sq = y_sorted.cumsum(axis=1)[:, lo:hi][cand, at]
 
         # In place, operation for operation:
         # gains = base_sse - (left_sq - left_sum * left_sum / left_count
@@ -257,14 +301,10 @@ class RegressionTree:
         right_sum /= right_count
         gains -= right_sum
         np.subtract(base_sse, gains, out=gains)
-        # Equal adjacent values give no usable threshold.
-        gains[~(v_sorted[:, lo:hi] < v_sorted[:, lo + 1 : hi + 1])] = -np.inf
 
-        col_best = np.argmax(gains, axis=1)
-        col_gain = gains[np.arange(len(features)), col_best]
-        k = int(np.argmax(col_gain))
-        if not col_gain[k] > 0.0:
+        best = int(gains.argmax())
+        if not gains[best] > 0.0:
             return -1, 0.0, 0.0
-        idx = lo + int(col_best[k])
+        k, idx = cand[best], lo + int(at[best])
         threshold = float((v_sorted[k, idx] + v_sorted[k, idx + 1]) / 2.0)
-        return int(features[k]), threshold, float(col_gain[k])
+        return int(features[k]), threshold, float(gains[best])

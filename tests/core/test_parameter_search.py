@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core import parameter_search
 from repro.core.actor_critic import PPOAgent
 from repro.core.adaptive_stopping import AdaptiveStopper, FixedLengthStopper
 from repro.core.parameter_search import ParameterSearcher
+from repro.costmodel import model as cost_model_module
+from repro.costmodel.gbt import GradientBoostedTrees
 from repro.costmodel.model import ScheduleCostModel
 from repro.hardware.measurer import Measurer
 from repro.tensor.actions import ActionSpace
@@ -104,3 +107,78 @@ class TestEpisode:
         b = _make_searcher(big_sketch, cpu, tiny_config, seed=5)[0].run_episode()
         assert a.best_latency == pytest.approx(b.best_latency)
         assert a.num_visited == b.num_visited
+
+
+def _count_rows(monkeypatch):
+    """Count schedules passed to feature extraction and to the cost model, and GBT rows."""
+    rows = {"features": 0, "predict": 0, "gbt": 0}
+
+    def counted(key, fn, batch_arg):
+        def wrapped(*args, **kwargs):
+            rows[key] += len(args[batch_arg])
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for module in (parameter_search, cost_model_module):
+        monkeypatch.setattr(module, "batch_features", counted("features", module.batch_features, 0))
+    monkeypatch.setattr(
+        ScheduleCostModel, "predict", counted("predict", ScheduleCostModel.predict, 1)
+    )
+    monkeypatch.setattr(
+        GradientBoostedTrees, "predict", counted("gbt", GradientBoostedTrees.predict, 1)
+    )
+    return rows
+
+
+def _trained_searcher(sketch, cpu, tiny_config, seed=0):
+    searcher, measurer, cost_model = _make_searcher(sketch, cpu, tiny_config, seed=seed)
+    while not cost_model.is_trained(sketch.dag.name):
+        searcher.run_episode()
+    return searcher, measurer, cost_model
+
+
+class TestStepReuse:
+    """Each visited schedule is featurised once and, on a fitted model, scored once."""
+
+    def test_fitted_episode_extracts_and_predicts_each_schedule_once(
+        self, big_sketch, cpu, tiny_config, monkeypatch
+    ):
+        searcher, _, _ = _trained_searcher(big_sketch, cpu, tiny_config)
+        rows = _count_rows(monkeypatch)
+        episode = searcher.run_episode()
+        assert episode.num_steps > 0
+        assert all(np.isfinite(r.throughput) and r.throughput > 0 for r in episode.measured)
+        # Visited schedules once for the states and scores, measured ones
+        # once more for the cost-model update.
+        assert rows["features"] == episode.num_visited + episode.num_measured
+        assert rows["gbt"] == episode.num_visited
+
+    def test_cold_episode_predicts_live_schedules_again(
+        self, big_sketch, cpu, tiny_config, monkeypatch
+    ):
+        """The cold prior draws for the live and the new schedules at every step."""
+        searcher, _, cost_model = _make_searcher(big_sketch, cpu, tiny_config)
+        assert not cost_model.is_trained(big_sketch.dag.name)
+        rows = _count_rows(monkeypatch)
+        episode = searcher.run_episode()
+        stepped = episode.num_visited - tiny_config.num_tracks
+        assert stepped > 0
+        assert rows["predict"] == tiny_config.num_tracks + 2 * stepped
+        assert rows["gbt"] == 0
+
+    def test_reused_scores_equal_predicting_again(self, big_sketch, cpu, tiny_config):
+        """A fitted episode matches one that re-predicts every live schedule."""
+        reused, _, _ = _trained_searcher(big_sketch, cpu, tiny_config, seed=3)
+        again, _, again_model = _trained_searcher(big_sketch, cpu, tiny_config, seed=3)
+        # Reporting the fitted model as cold sends the episode down the
+        # re-predicting branch; predictions still come from the fitted model.
+        again_model.is_trained = lambda name: False
+        for _ in range(2):
+            a, b = reused.run_episode(), again.run_episode()
+            assert [r.latency for r in a.measured] == [r.latency for r in b.measured]
+            assert (a.num_visited, a.track_lengths) == (b.num_visited, b.track_lengths)
+            assert a.critical_positions == b.critical_positions
+            assert a.rl_stats == b.rl_stats
+        for got, want in zip(reused.agent.actor.parameters(), again.agent.actor.parameters()):
+            assert np.array_equal(got, want)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.costmodel.gbt import GradientBoostedTrees
 from repro.costmodel.tree import RegressionTree
@@ -144,6 +145,47 @@ class TestPackedEnsemble:
         ).fit(X, y)
         assert len({tree._depth for tree in model._trees}) > 1
         assert_packed_equals_sequential(model, X)
+
+
+class TestTrainingLossInvariant:
+    """Without row subsampling, no boosting round raises the training loss.
+
+    Each tree fits the residuals by least squares on every row, and a leaf
+    that adds ``learning_rate`` times its mean residual (``0 < lr < 2``)
+    cannot increase its rows' squared error, whatever split was chosen.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(2, 40),
+        d=st.integers(1, 6),
+        levels=st.integers(1, 4),
+        max_depth=st.integers(1, 5),
+        min_samples_leaf=st.integers(1, 3),
+        colsample=st.sampled_from([0.4, 0.7, 1.0]),
+        learning_rate=st.sampled_from([0.05, 0.2, 0.5, 1.0]),
+    )
+    def test_loss_never_increases(
+        self, seed, n, d, levels, max_depth, min_samples_leaf, colsample, learning_rate
+    ):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, levels, size=(n, d)) / levels  # tied values
+        y = np.round(rng.normal(size=n) + X.sum(axis=1), 2)
+        model = GradientBoostedTrees(
+            n_estimators=12, learning_rate=learning_rate, max_depth=max_depth,
+            min_samples_leaf=min_samples_leaf, subsample=1.0, colsample=colsample,
+            early_stopping_rounds=None, seed=seed,
+        ).fit(X, y)
+        assert model.n_trees == 12
+        # The fit's own running prediction, tree by tree.
+        predictions = np.full(n, model._base_prediction)
+        loss = float(np.mean((y - predictions) ** 2))
+        for tree in model._trees:
+            predictions += model.learning_rate * tree.predict(X)
+            next_loss = float(np.mean((y - predictions) ** 2))
+            assert next_loss <= loss + 1e-12 * max(1.0, loss)
+            loss = next_loss
 
 
 class TestValidation:

@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.costmodel.gbt import GradientBoostedTrees
 from repro.costmodel.tree import RegressionTree
+from repro.experiments.operator_suite import representative_dag
+from repro.hardware.simulator import LatencySimulator
+from repro.hardware.target import cpu_target
+from repro.tensor.features import batch_features
+from repro.tensor.sampler import sample_initial_schedules
+from repro.tensor.sketch import generate_sketches
 
 
 @pytest.fixture
@@ -229,6 +236,143 @@ class TestPresortedGrowth:
             for got, want in zip(node_arrays(fast_tree), node_arrays(legacy_tree)):
                 assert np.array_equal(got, want)
         assert np.array_equal(fast.predict(X), legacy.predict(X))
+
+
+def assert_grows_like_oracle(X, y, seed=0, **params):
+    """Fit a tree and grow the per-node oracle from the same RNG; compare exactly."""
+    tree = RegressionTree(rng=np.random.default_rng(seed), **params).fit(X, y)
+    expected = RegressionTree(rng=np.random.default_rng(seed), **params)
+    grow_per_node(expected, X, y)
+    for got, want in zip(node_arrays(tree), node_arrays(expected)):
+        assert np.array_equal(got, want)
+    assert tree._depth == expected._depth
+    # Every node drew its candidates from the same stream.
+    assert tree._rng.bit_generator.state == expected._rng.bit_generator.state
+    return tree
+
+
+def assert_boosts_like_oracle(X, y, monkeypatch, **params):
+    """Fit a boosted ensemble with and without per-node growth; compare exactly."""
+    fast = GradientBoostedTrees(**params).fit(X, y)
+    with monkeypatch.context() as patch:
+        patch.setattr(RegressionTree, "_grow", grow_per_node)
+        legacy = GradientBoostedTrees(**params).fit(X, y)
+    assert fast.n_trees == legacy.n_trees
+    for fast_tree, legacy_tree in zip(fast._trees, legacy._trees):
+        for got, want in zip(node_arrays(fast_tree), node_arrays(legacy_tree)):
+            assert np.array_equal(got, want)
+    assert np.array_equal(fast.predict(X), legacy.predict(X))
+    return fast
+
+
+def constant_columns(X):
+    return ~(X[1:] != X[:1]).any(axis=0)
+
+
+class TestLiveColumnGrowth:
+    """Growth that skips constant columns and invalid positions matches the oracle."""
+
+    @pytest.mark.parametrize("min_samples_leaf", [1, 2, 3, 4])
+    @pytest.mark.parametrize("max_features", [None, 2, 5])
+    def test_globally_constant_columns(self, min_samples_leaf, max_features):
+        X, y = tied_dataset(np.random.default_rng(min_samples_leaf), n=80, d=7)
+        X[:, 1] = 0.5
+        X[:, 4] = -3.0
+        X[:, 6] = 0.0
+        assert constant_columns(X).sum() == 3
+        tree = assert_grows_like_oracle(
+            X, y, seed=min_samples_leaf, max_depth=6,
+            min_samples_leaf=min_samples_leaf, max_features=max_features,
+        )
+        if max_features is None:
+            assert tree._node_value.size > 7
+        assert not np.isin(tree._node_feature, [1, 4, 6]).any()
+
+    def test_columns_constant_only_within_a_row_subsample(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        X, y = tied_dataset(rng, n=60, d=8)
+        # Columns 3..7 are zero except on two rows each: a 70% row subsample
+        # often misses both, and the column is constant over that tree's rows.
+        for col in range(3, 8):
+            X[:, col] = 0.0
+            X[rng.choice(60, size=2, replace=False), col] = 1.0
+        assert not constant_columns(X).any()
+        fitted = []
+        fit = RegressionTree.fit
+
+        def recording_fit(tree, X_tree, y_tree):
+            fitted.append(constant_columns(X_tree).sum())
+            return fit(tree, X_tree, y_tree)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RegressionTree, "fit", recording_fit)
+            assert_boosts_like_oracle(
+                X, y, monkeypatch, n_estimators=25, subsample=0.7, colsample=0.5,
+                min_samples_leaf=1, seed=3,
+            )
+        assert max(fitted) > 0  # some trees saw subsample-constant columns
+
+    def test_drawing_only_constant_columns_leaves_a_leaf(self):
+        rng = np.random.default_rng(5)
+        X = np.zeros((40, 4))
+        X[:, 0] = rng.random(40)
+        y = np.where(X[:, 0] > 0.5, 1.0, -1.0) + 0.1 * rng.normal(size=40)
+        # One candidate per node out of one live and three constant columns.
+        roots = set()
+        for seed in range(16):
+            tree = assert_grows_like_oracle(X, y, seed=seed, max_depth=3, max_features=1)
+            roots.add(int(tree._node_feature[0]))
+            if tree._node_feature[0] < 0:
+                assert tree._node_value.size == 1
+        assert roots == {-1, 0}  # some roots drew a constant column, some the live one
+
+    @pytest.mark.parametrize("max_features", [None, 2])
+    def test_all_columns_constant(self, max_features):
+        X = np.full((30, 3), 2.0)
+        y = np.random.default_rng(0).normal(size=30)
+        tree = assert_grows_like_oracle(X, y, max_depth=4, max_features=max_features)
+        assert tree._node_value.size == 1
+
+    def test_sampled_gemm_schedules(self, monkeypatch):
+        """Feature rows of sampled GEMM-M schedules against simulated throughput."""
+        target = cpu_target()
+        dag = representative_dag("GEMM-M")
+        sketches = generate_sketches(
+            dag, target.sketch_spatial_levels, target.sketch_reduction_levels
+        )
+        rng = np.random.default_rng(0)
+        schedules = [
+            schedule
+            for sketch in sketches
+            for schedule in sample_initial_schedules(sketch, 16, rng, target.unroll_depths)
+        ]
+        X = batch_features(schedules)
+        y = dag.flops / LatencySimulator(target).batch_latency(schedules)
+        assert constant_columns(X).sum() > X.shape[1] // 2
+        model = assert_boosts_like_oracle(X, y / y.max(), monkeypatch)
+        assert model.n_trees > 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 24),
+        d=st.integers(1, 6),
+        levels=st.integers(1, 4),
+        min_samples_leaf=st.integers(1, 4),
+        max_depth=st.integers(1, 5),
+    )
+    def test_few_valued_matrices(self, data, n, d, levels, min_samples_leaf, max_depth):
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, levels, size=(n, d)).astype(np.float64)
+        constant = data.draw(st.lists(st.booleans(), min_size=d, max_size=d), label="constant")
+        X[:, constant] = rng.integers(0, levels)
+        y = np.round(rng.normal(size=n), 1)
+        max_features = data.draw(st.sampled_from([None, *range(1, d + 1)]), label="max_features")
+        assert_grows_like_oracle(
+            X, y, seed=seed, max_depth=max_depth,
+            min_samples_leaf=min_samples_leaf, max_features=max_features,
+        )
 
 
 class TestValidation:
