@@ -7,9 +7,11 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test coverage bench bench-smoke bench-full serve-demo serve-load \
 	network-smoke network-demo perf perf-gate perf-scale lint gate analyze
 
-## Tier-1 verification: the full unit/property/integration suite.
+## Tier-1 verification, the command CI runs: the unit/property/integration
+## suite under tests/ plus the figure/table benchmarks and the e2e smoke
+## tests under benchmarks/, stopping at the first failure.
 test:
-	$(PYTHON) -m pytest tests -q
+	$(PYTHON) -m pytest -x -q
 
 ## Line coverage over src/repro (requires pytest-cov).  The suite measures
 ## ~95% line coverage; the fail-under pin sits a safety margin below and

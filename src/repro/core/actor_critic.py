@@ -6,6 +6,10 @@ sub-space (tiling pair, compute-at delta, parallel delta, unroll delta); the
 critic estimates the state value; the advantage is the one-step temporal
 difference of Eq. 6; and training uses the clipped PPO surrogate with an
 entropy bonus and an MSE value loss (weights from Table 5).
+
+The agent's public methods cast their inputs to the learner dtype
+(:data:`repro.core.policy.DTYPE`, float32) on entry, so its networks, its
+outputs and its replay rows are all in that dtype.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import HARLConfig
-from repro.core.policy import Adam, MultiHeadMLP, softmax, softmax_and_log_softmax
+from repro.core.policy import DTYPE, Adam, MultiHeadMLP, softmax, softmax_and_log_softmax
 from repro.core.rollout import ReplayBuffer
 
 __all__ = ["PPOAgent", "ActionBatch"]
@@ -27,8 +31,8 @@ class ActionBatch:
     """Result of one policy query on a batch of states."""
 
     actions: np.ndarray       #: (N, num_heads) int indices
-    log_probs: np.ndarray     #: (N,) joint log-probability under the behaviour policy
-    values: np.ndarray        #: (N,) critic value estimates
+    log_probs: np.ndarray     #: (N,) DTYPE joint log-probability under the behaviour policy
+    values: np.ndarray        #: (N,) DTYPE critic value estimates
 
 
 class PPOAgent:
@@ -73,18 +77,26 @@ class PPOAgent:
         return [softmax(l) for l in logits]
 
     def act(self, states: np.ndarray, greedy: bool = False) -> ActionBatch:
-        """Sample one joint action per state (or take the argmax when ``greedy``)."""
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        """Sample one joint action per state (or take the argmax when ``greedy``).
+
+        Each head draws ``u`` uniform in [0, 1) per state and picks the first
+        action whose cumulative probability exceeds ``u``.  A row's
+        probabilities may sum to just under 1 (nearly half of 485-wide
+        float32 rows do, by up to 1e-6), so the last action also takes every
+        draw at or above that sum; no other draw changes its action.
+        """
+        states = np.atleast_2d(np.asarray(states, dtype=DTYPE))
         logits, _ = self.actor.forward(states)
         n = states.shape[0]
         actions = np.zeros((n, len(self.head_sizes)), dtype=np.int64)
-        log_probs = np.zeros(n, dtype=np.float64)
+        log_probs = np.zeros(n, dtype=DTYPE)
         for h, head_logits in enumerate(logits):
             probs, logp = softmax_and_log_softmax(head_logits)
             if greedy:
                 chosen = np.argmax(probs, axis=1)
             else:
                 cumulative = np.cumsum(probs, axis=1)
+                cumulative[:, -1] = np.inf
                 draws = self._rng.random((n, 1))
                 chosen = np.argmax(cumulative > draws, axis=1)
             actions[:, h] = chosen
@@ -93,7 +105,7 @@ class PPOAgent:
 
     def value(self, states: np.ndarray) -> np.ndarray:
         """Critic value estimates ``V(s)`` for a batch of states."""
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        states = np.atleast_2d(np.asarray(states, dtype=DTYPE))
         outputs, _ = self.critic.forward(states)
         return outputs[0][:, 0]
 
@@ -104,9 +116,9 @@ class PPOAgent:
         self, rewards: np.ndarray, values: np.ndarray, next_values: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One-step TD targets and advantages (Eq. 6)."""
-        rewards = np.asarray(rewards, dtype=np.float64)
-        td_targets = rewards + self.config.discount * np.asarray(next_values, dtype=np.float64)
-        advantages = td_targets - np.asarray(values, dtype=np.float64)
+        rewards = np.asarray(rewards, dtype=DTYPE)
+        td_targets = rewards + self.config.discount * np.asarray(next_values, dtype=DTYPE)
+        advantages = td_targets - np.asarray(values, dtype=DTYPE)
         return td_targets, advantages
 
     def store(
@@ -155,7 +167,7 @@ class PPOAgent:
         # ---------------- actor ---------------- #
         logits, actor_cache = self.actor.forward(states)
         rows = np.arange(n)
-        new_log_probs = np.zeros(n, dtype=np.float64)
+        new_log_probs = np.zeros(n, dtype=DTYPE)
         head_dists = []
         for h, head_logits in enumerate(logits):
             probs, logp = softmax_and_log_softmax(head_logits)
@@ -170,7 +182,7 @@ class PPOAgent:
 
         # Gradient of the clipped surrogate w.r.t. the joint log-probability:
         # only unclipped samples propagate gradient.
-        unclipped_mask = (surr1 <= surr2).astype(np.float64)
+        unclipped_mask = (surr1 <= surr2).astype(DTYPE)
         dloss_dlogp = -(adv * ratio * unclipped_mask) / n
 
         entropy_total = 0.0

@@ -7,14 +7,22 @@ hand (no autograd), and parameters are trained with Adam.  Network widths are
 tiny (64 hidden units) because schedule feature vectors are ~60-dimensional
 and episodes only contain a few hundred states.
 
+Every learner array is :data:`DTYPE` (float32): parameters, activations,
+gradients and Adam moments here, and the agent's outputs and replay rows
+(:mod:`repro.core.actor_critic`, :mod:`repro.core.rollout`).  Inputs are
+cast once on entry, and Python scalars do not promote float32 arrays, so
+the whole learner runs in that one dtype.  A tune holds one agent per
+(workload, sketch); float32 halves each agent's parameters and Adam
+moments, and every matrix product moves half the bytes.
+
 At these sizes much of the learner's cost is NumPy call overhead, so the
 parameters live in one contiguous buffer per network
 (:class:`ParameterViews`): :meth:`MultiHeadMLP.backward` writes gradients
 into one fresh buffer of the same layout, and :class:`Adam` updates
 everything in a handful of whole-buffer ufunc calls instead of a dozen per
-parameter array.  Every element still goes through the same float64
-operations in the same order as a per-array implementation, so the results
-are bit-identical to it.
+parameter array.  Every element still goes through the same operations in
+the same order as a per-array implementation, so the results are
+bit-identical to it.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = [
+    "DTYPE",
     "MultiHeadMLP",
     "Adam",
     "ParameterViews",
@@ -32,6 +41,10 @@ __all__ = [
     "log_softmax",
     "softmax_and_log_softmax",
 ]
+
+#: The dtype of every learner array (parameters, activations, gradients,
+#: Adam moments, agent outputs and replay rows).
+DTYPE = np.float32
 
 
 def softmax_and_log_softmax(logits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -52,7 +65,7 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class ParameterViews(tuple):
-    """Arrays laid back to back in one contiguous 1-D float64 buffer.
+    """Arrays laid back to back in one contiguous 1-D buffer.
 
     Element ``i`` is a reshaped view of a slice of :attr:`flat`, so writes
     through either are seen by both, and whole-buffer operations on
@@ -118,10 +131,11 @@ class MultiHeadMLP:
             + tuple((w,) for w in self.head_sizes)
         )
         self._params = ParameterViews(
-            np.zeros(sum(math.prod(s) for s in self.shapes)), self.shapes
+            np.zeros(sum(math.prod(s) for s in self.shapes), dtype=DTYPE), self.shapes
         )
 
-        # Same draws, in the same order, as allocating each array on its own.
+        # Same draws, in the same order, as allocating each array on its own
+        # (drawn in float64, stored rounded to DTYPE).
         trunk_weights, _, head_weights, _ = self._groups(self._params)
         prev = self.input_size
         for W in trunk_weights:
@@ -146,14 +160,15 @@ class MultiHeadMLP:
     def set_parameters(self, params: Sequence[np.ndarray]) -> None:
         """Copy ``params`` into this network's buffer, in :meth:`parameters` order.
 
-        The buffer is written in place, so an :class:`Adam` built on
-        :meth:`parameters` keeps training the network.  Every array must have
-        exactly its parameter's shape (no broadcasting); on any mismatch
-        nothing is copied and ``ValueError`` is raised.
+        The buffer is written in place (values rounded to :data:`DTYPE`), so
+        an :class:`Adam` built on :meth:`parameters` keeps training the
+        network.  Every array must have exactly its parameter's shape (no
+        broadcasting); on any mismatch nothing is copied and ``ValueError``
+        is raised.
         """
         if len(params) != len(self.shapes):
             raise ValueError(f"expected {len(self.shapes)} parameter arrays, got {len(params)}")
-        arrays = [np.asarray(p, dtype=np.float64) for p in params]
+        arrays = [np.asarray(p, dtype=DTYPE) for p in params]
         for index, (array, shape) in enumerate(zip(arrays, self.shapes)):
             if array.shape != shape:
                 raise ValueError(f"parameter {index} has shape {array.shape}, expected {shape}")
@@ -164,8 +179,11 @@ class MultiHeadMLP:
     # forward / backward
     # ------------------------------------------------------------------ #
     def forward(self, x: np.ndarray) -> Tuple[List[np.ndarray], dict]:
-        """Run the network; returns per-head outputs and a cache for backward."""
-        x = np.asarray(x, dtype=np.float64)
+        """Run the network; returns per-head outputs and a cache for backward.
+
+        ``x`` is cast to :data:`DTYPE`, so every output is :data:`DTYPE`.
+        """
+        x = np.asarray(x, dtype=DTYPE)
         if x.ndim == 1:
             x = x[None, :]
         trunk_weights, trunk_biases, head_weights, head_biases = self._groups(self._params)
@@ -194,7 +212,7 @@ class MultiHeadMLP:
 
         grad_trunk = np.zeros_like(trunk_out)
         for grad_out, W, gW, gb in zip(head_grads, head_weights, head_w_grads, head_b_grads):
-            grad_out = np.asarray(grad_out, dtype=np.float64)
+            grad_out = np.asarray(grad_out, dtype=DTYPE)
             np.matmul(trunk_out.T, grad_out, out=gW)
             np.sum(grad_out, axis=0, out=gb)
             grad_trunk += grad_out @ W.T
@@ -212,10 +230,10 @@ class MultiHeadMLP:
 
 
 def _flat_buffer(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """The 1-D float64 buffer behind ``arrays``, without copying.
+    """The 1-D floating-point buffer behind ``arrays``, without copying.
 
-    ``arrays`` is a :class:`ParameterViews` or a single contiguous float64
-    array; the result aliases it.
+    ``arrays`` is a :class:`ParameterViews` or a single contiguous
+    floating-point array; the result aliases it.
     """
     if isinstance(arrays, ParameterViews):
         return arrays.flat
@@ -223,13 +241,13 @@ def _flat_buffer(arrays: Sequence[np.ndarray]) -> np.ndarray:
         array = arrays[0]
         if (
             isinstance(array, np.ndarray)
-            and array.dtype == np.float64
+            and np.issubdtype(array.dtype, np.floating)
             and array.flags.c_contiguous
         ):
             return array.reshape(-1)
     raise ValueError(
-        "parameters must be one contiguous float64 array or a ParameterViews "
-        "(e.g. MultiHeadMLP.parameters())"
+        "parameters must be one contiguous floating-point array or a "
+        "ParameterViews (e.g. MultiHeadMLP.parameters())"
     )
 
 
@@ -237,9 +255,10 @@ class Adam:
     """Adam optimiser over one flat parameter buffer (updated in place).
 
     ``params`` is :meth:`MultiHeadMLP.parameters` (views into the network's
-    buffer) or a list holding one contiguous float64 array.  A step is one
-    pass of in-place ufuncs over the whole buffer, in the order of the
-    per-array textbook update::
+    buffer) or a list holding one contiguous floating-point array.  The
+    moments, the gradient and every step are in that buffer's own dtype
+    (:data:`DTYPE` for a network).  A step is one pass of in-place ufuncs
+    over the whole buffer, in the order of the per-array textbook update::
 
         m = b1 * m + (1 - b1) * g
         v = b2 * v + ((1 - b2) * g) * g
@@ -249,7 +268,8 @@ class Adam:
     global L2 norm.  The squared norm is summed per parameter array
     (``np.add.reduce`` on its slice), and the per-array sums are added with
     Python's ``sum`` in parameter order, so clipping fires exactly when the
-    per-array formulation does.  Only the moments persist between steps;
+    per-array formulation does; the scale is a Python float, so it does
+    not promote the gradient.  Only the moments persist between steps;
     scratch buffers are allocated per step.
     """
 
@@ -269,7 +289,7 @@ class Adam:
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
-        self.max_grad_norm = max_grad_norm
+        self.max_grad_norm = None if max_grad_norm is None else float(max_grad_norm)
         self._m = np.zeros_like(self._flat)
         self._v = np.zeros_like(self._flat)
         self._t = 0
@@ -277,17 +297,18 @@ class Adam:
     def step(self, grads: Sequence[np.ndarray]) -> None:
         if len(grads) != len(self.params):
             raise ValueError("gradient list does not match parameter list")
+        dtype = self._flat.dtype
         if isinstance(grads, ParameterViews):
-            grad = grads.flat
+            grad = np.asarray(grads.flat, dtype=dtype)
         else:
-            grad = np.concatenate([np.asarray(g, dtype=np.float64).reshape(-1) for g in grads])
+            grad = np.concatenate([np.asarray(g, dtype=dtype).reshape(-1) for g in grads])
         if grad.size != self._flat.size:
             raise ValueError("gradient sizes do not match the parameters")
 
         if self.max_grad_norm is not None:
             squares = grad * grad
             bounds = self._bounds
-            total = np.sqrt(
+            total = math.sqrt(
                 sum(float(np.add.reduce(squares[a:b])) for a, b in zip(bounds, bounds[1:]))
             )
             if total > self.max_grad_norm and total > 0:

@@ -5,34 +5,31 @@ state, reward and advantage — into a replay buffer ``B``; every ``T_rl`` steps
 a mini-batch is sampled from it to train the actor and critic networks.  The
 buffer here additionally stores the behaviour policy's log-probability and
 the TD target, which the clipped PPO objective and the critic regression need.
+Rows are stored in the learner dtype (:data:`repro.core.policy.DTYPE`,
+float32); actions are int64.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
 
+from repro.core.policy import DTYPE
+
 __all__ = ["ReplayBuffer"]
-
-
-@dataclass
-class _Batch:
-    states: np.ndarray
-    actions: np.ndarray
-    old_log_probs: np.ndarray
-    rewards: np.ndarray
-    td_targets: np.ndarray
-    advantages: np.ndarray
 
 
 class ReplayBuffer:
     """Fixed-capacity FIFO buffer of transitions.
 
-    All arrays are pre-allocated; ``add`` copies a batch of transitions in and
-    overwrites the oldest entries once the capacity is reached.
+    ``add`` copies a batch of transitions in and overwrites the oldest
+    entries once the capacity is reached.  Row storage is allocated as the
+    buffer fills (see :meth:`_reserve`), not up front, so an agent that
+    stores a few hundred transitions never holds ``capacity`` rows.
     """
+
+    _FIELDS = ("_states", "_actions", "_old_log_probs", "_rewards", "_td_targets", "_advantages")
 
     def __init__(self, capacity: int, state_size: int, num_heads: int, seed: int = 0):
         if capacity < 1:
@@ -40,15 +37,8 @@ class ReplayBuffer:
         self.capacity = int(capacity)
         self.state_size = int(state_size)
         self.num_heads = int(num_heads)
-        self._states = np.zeros((capacity, state_size), dtype=np.float64)
-        self._actions = np.zeros((capacity, num_heads), dtype=np.int64)
-        self._old_log_probs = np.zeros(capacity, dtype=np.float64)
-        self._rewards = np.zeros(capacity, dtype=np.float64)
-        self._td_targets = np.zeros(capacity, dtype=np.float64)
-        self._advantages = np.zeros(capacity, dtype=np.float64)
         self._rng = np.random.default_rng(seed)
-        self._next = 0
-        self._size = 0
+        self.clear()
 
     def __len__(self) -> int:
         return self._size
@@ -64,7 +54,7 @@ class ReplayBuffer:
         advantages: np.ndarray,
     ) -> None:
         """Append a batch of transitions (oldest entries are overwritten)."""
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        states = np.atleast_2d(np.asarray(states, dtype=DTYPE))
         actions = np.atleast_2d(np.asarray(actions, dtype=np.int64))
         n = states.shape[0]
         if not (
@@ -79,6 +69,7 @@ class ReplayBuffer:
         # than the buffer only its last ``capacity`` rows survive, and those
         # map to distinct slots, so one index write stores them all.
         keep = min(n, self.capacity)
+        self._reserve(min(self._next + n, self.capacity))
         slots = (self._next + np.arange(n - keep, n)) % self.capacity
         self._states[slots] = states[n - keep :]
         self._actions[slots] = actions[n - keep :]
@@ -105,5 +96,31 @@ class ReplayBuffer:
         }
 
     def clear(self) -> None:
+        """Drop every transition and release the row storage."""
+        self._states = np.zeros((0, self.state_size), dtype=DTYPE)
+        self._actions = np.zeros((0, self.num_heads), dtype=np.int64)
+        self._old_log_probs = np.zeros(0, dtype=DTYPE)
+        self._rewards = np.zeros(0, dtype=DTYPE)
+        self._td_targets = np.zeros(0, dtype=DTYPE)
+        self._advantages = np.zeros(0, dtype=DTYPE)
         self._next = 0
         self._size = 0
+
+    def _reserve(self, rows: int) -> None:
+        """Grow the storage to hold slots ``0 .. rows - 1``.
+
+        Each growth at least doubles the storage and never passes
+        ``capacity``.  So until the buffer wraps it holds at most
+        ``min(capacity, 2 * len(self))`` rows, and after that exactly
+        ``capacity``.  Rows keep their slots, so contents, cursor and
+        :meth:`sample` draws are those of a buffer allocated in full.
+        """
+        current = self._states.shape[0]
+        if rows <= current:
+            return
+        grown = min(self.capacity, max(rows, 2 * current))
+        for name in self._FIELDS:
+            old = getattr(self, name)
+            new = np.zeros((grown,) + old.shape[1:], dtype=old.dtype)
+            new[:current] = old
+            setattr(self, name, new)

@@ -1,5 +1,7 @@
 """Unit tests for the PPO agent."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,17 @@ def agent(tiny_config):
 
 def _states(n, rng, size=8):
     return rng.normal(size=(n, size))
+
+
+class _FixedDraws:
+    """Stands in for the agent's generator: ``random`` returns fixed draws."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def random(self, size):
+        assert size == self.draws.shape
+        return self.draws.copy()
 
 
 class TestActing:
@@ -43,6 +56,22 @@ class TestActing:
         actions = agent.act(states).actions
         # A fresh (near-uniform) policy should not always pick the same tiling action.
         assert len(np.unique(actions[:, 0])) > 1
+
+    def test_draw_past_a_rows_total_takes_the_last_action(self, agent, rng):
+        """A draw at or above the row's summed probabilities picks the last
+        action; every other draw keeps the first action whose cumulative
+        probability exceeds it."""
+        states = _states(8, rng)
+        cumulative = [np.cumsum(p, axis=1) for p in agent.policy_distributions(states)]
+        top = max(float(c[:, -1].max()) for c in cumulative)
+        low = min(float(c[:, -1].min()) for c in cumulative)
+        draws = np.concatenate([np.full(4, top), rng.uniform(0.0, low, size=4)])[:, None]
+        agent._rng = _FixedDraws(draws)
+
+        actions = agent.act(states).actions
+        for h, (size, cum) in enumerate(zip(agent.head_sizes, cumulative)):
+            assert np.array_equal(actions[:4, h], np.full(4, size - 1))
+            assert np.array_equal(actions[4:, h], np.argmax(cum[4:] > draws[4:], axis=1))
 
     def test_policy_distributions_normalised(self, agent, rng):
         dists = agent.policy_distributions(_states(4, rng))
@@ -126,3 +155,77 @@ class TestLearning:
         agent.update()
         after = agent.actor.parameters()
         assert any(not np.allclose(b, a) for b, a in zip(before, after))
+
+
+class TestFloat32Learner:
+    """Every learner array stays float32 whatever dtype comes in.
+
+    Under NumPy 2's promotion rules one stray float64 array or NumPy
+    scalar in an expression turns a float32 result into float64, so the
+    inputs here are float64 throughout.
+    """
+
+    @staticmethod
+    def _record_gradients(agent):
+        seen = []
+        for opt in (agent.actor_opt, agent.critic_opt):
+            def step(grads, _step=opt.step):
+                seen.append([np.array(g) for g in grads] + [grads.flat.copy()])
+                _step(grads)
+
+            opt.step = step
+        return seen
+
+    @staticmethod
+    def _assert_float32(agent):
+        for net, opt in ((agent.actor, agent.actor_opt), (agent.critic, agent.critic_opt)):
+            params = net.parameters()
+            assert params.flat.dtype == np.float32
+            assert all(p.dtype == np.float32 for p in params)
+            for array in (opt._flat, opt._m, opt._v):
+                assert array.dtype == np.float32
+        buf = agent.buffer
+        for name in ("_states", "_old_log_probs", "_rewards", "_td_targets", "_advantages"):
+            assert getattr(buf, name).dtype == np.float32, name
+        assert buf._actions.dtype == np.int64
+        if len(buf):
+            for key, array in buf.sample(4).items():
+                assert array.dtype == (np.int64 if key == "actions" else np.float32), key
+
+    def _play(self, agent, rng, rounds=2):
+        """Act, value, store and update on float64 inputs; check every output."""
+        seen = self._record_gradients(agent)
+        for _ in range(rounds):
+            states = rng.normal(size=(16, agent.feature_size))
+            batch = agent.act(states)
+            assert batch.actions.dtype == np.int64
+            assert batch.log_probs.dtype == np.float32
+            assert batch.values.dtype == np.float32
+            next_values = agent.value(rng.normal(size=(16, agent.feature_size)))
+            assert next_values.dtype == np.float32
+            # Large TD targets push the critic's gradient norm past the clip.
+            rewards = rng.normal(size=16) * 1e3
+            td, adv = agent.compute_advantage(rewards, batch.values, next_values)
+            agent.store(states, batch.actions, batch.log_probs, rewards, td, adv)
+            agent.update()
+        for opt in (agent.actor_opt, agent.critic_opt):
+            del opt.step  # back to Adam.step
+        assert seen
+        for grads in seen:
+            assert all(g.dtype == np.float32 for g in grads)
+        self._assert_float32(agent)
+
+    def test_act_value_update(self, agent, rng):
+        self._assert_float32(agent)
+        self._play(agent, rng)
+
+    def test_set_parameters_from_float64(self, agent, rng):
+        for net in (agent.actor, agent.critic):
+            net.set_parameters([p.astype(np.float64) + 0.5 for p in net.parameters()])
+        self._play(agent, rng)
+
+    def test_deep_copy(self, agent, rng):
+        self._play(agent, rng, rounds=1)
+        clone = copy.deepcopy(agent)
+        self._assert_float32(clone)
+        self._play(clone, rng)

@@ -4,13 +4,16 @@
 writes into one flat gradient buffer, and ``Adam`` updates the whole buffer
 in a few in-place ufunc calls.  None of that may change a single bit of
 what the agent learns or samples.  The reference here is the plain
-per-array implementation (one array per weight and bias, one Adam pass per
-array, ``softmax`` and ``log_softmax`` computed separately), and the tests
-compare parameters, Adam moments, actions, log-probabilities, values and RNG
-states with ``np.array_equal`` after several updates.
+per-array implementation (one float32 array per weight and bias, one Adam
+pass per array, ``softmax`` and ``log_softmax`` computed separately), and
+the tests compare parameters, Adam moments, actions, log-probabilities,
+values and RNG states with ``np.array_equal`` after several updates.
 
 The finite-difference tests check the gradients themselves: the actor's
-clipped surrogate plus entropy bonus, and the critic's MSE.
+clipped surrogate plus entropy bonus, and the critic's MSE.  The learner
+computes its gradients in float32; the objectives are evaluated in float64
+over float64 copies of the float32 parameters, so the differences measure
+the gradient rather than float32 rounding.
 """
 
 import numpy as np
@@ -42,14 +45,16 @@ class _RefMLP:
         prev = input_size
         for width in hidden_sizes:
             scale = np.sqrt(2.0 / prev)
-            self.trunk_weights.append(rng.normal(0.0, scale, size=(prev, width)))
-            self.trunk_biases.append(np.zeros(width))
+            self.trunk_weights.append(rng.normal(0.0, scale, size=(prev, width)).astype(np.float32))
+            self.trunk_biases.append(np.zeros(width, dtype=np.float32))
             prev = width
         self.head_weights, self.head_biases = [], []
         for width in head_sizes:
             scale = np.sqrt(1.0 / prev)
-            self.head_weights.append(rng.normal(0.0, 0.1 * scale, size=(prev, width)))
-            self.head_biases.append(np.zeros(width))
+            self.head_weights.append(
+                rng.normal(0.0, 0.1 * scale, size=(prev, width)).astype(np.float32)
+            )
+            self.head_biases.append(np.zeros(width, dtype=np.float32))
 
     def parameters(self):
         return self.trunk_weights + self.trunk_biases + self.head_weights + self.head_biases
@@ -94,7 +99,7 @@ class _RefAdam:
         self.unclipped = 0
 
     def step(self, grads):
-        total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+        total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
         if total > self.max_grad_norm and total > 0:
             self.clipped += 1
             scale = self.max_grad_norm / total
@@ -128,19 +133,22 @@ class _RefAgent:
         )
 
     def value(self, states):
-        return self.critic.forward(states)[0][0][:, 0]
+        return self.critic.forward(states.astype(np.float32))[0][0][:, 0]
 
     def act(self, states):
+        states = states.astype(np.float32)
         logits, _ = self.actor.forward(states)
         n = states.shape[0]
         actions = np.zeros((n, len(self.head_sizes)), dtype=np.int64)
-        log_probs = np.zeros(n, dtype=np.float64)
+        log_probs = np.zeros(n, dtype=np.float32)
         for h, head_logits in enumerate(logits):
             probs = _ref_softmax(head_logits)
             logp = _ref_log_softmax(head_logits)
             cumulative = np.cumsum(probs, axis=1)
             draws = self.rng.random((n, 1))
-            chosen = np.argmax(cumulative > draws, axis=1)
+            # The number of cumulative probabilities at or below the draw,
+            # with a draw past the row's sum going to the last action.
+            chosen = np.minimum(np.sum(cumulative <= draws, axis=1), probs.shape[1] - 1)
             actions[:, h] = chosen
             log_probs += logp[np.arange(n), chosen]
         return actions, log_probs, self.value(states)
@@ -159,7 +167,7 @@ class _RefAgent:
             adv = (adv - np.mean(adv)) / (np.std(adv) + 1e-8)
 
         logits, activations = self.actor.forward(states)
-        new_log_probs = np.zeros(n, dtype=np.float64)
+        new_log_probs = np.zeros(n, dtype=np.float32)
         probs_per_head = []
         for h, head_logits in enumerate(logits):
             logp = _ref_log_softmax(head_logits)
@@ -169,7 +177,7 @@ class _RefAgent:
         clipped = np.clip(ratio, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon)
         surr1 = ratio * adv
         surr2 = clipped * adv
-        unclipped_mask = (surr1 <= surr2).astype(np.float64)
+        unclipped_mask = (surr1 <= surr2).astype(np.float32)
         dloss_dlogp = -(adv * ratio * unclipped_mask) / n
         head_grads = []
         for h, head_logits in enumerate(logits):
@@ -260,38 +268,54 @@ def _capture_grads(opt):
     return captured
 
 
-def _actor_objective(agent, batch, adv):
+def _forward64(net, params, states):
+    """``net``'s forward pass in float64 over ``params``, float64 copies of
+    its parameters (in ``parameters()`` order)."""
+    trunk_weights, trunk_biases, head_weights, head_biases = net._groups(params)
+    h = states.astype(np.float64)
+    for W, b in zip(trunk_weights, trunk_biases):
+        h = np.tanh(h @ W + b)
+    return [h @ W + b for W, b in zip(head_weights, head_biases)]
+
+
+def _actor_objective(agent, params, batch, adv):
     """Clipped PPO surrogate loss minus the weighted mean entropy of every head."""
     cfg = agent.config
     n = batch["states"].shape[0]
-    logits, _ = agent.actor.forward(batch["states"])
+    logits = _forward64(agent.actor, params, batch["states"])
     new_log_probs = np.zeros(n)
     entropy_bonus = 0.0
     for h, head_logits in enumerate(logits):
         logp = _ref_log_softmax(head_logits)
         new_log_probs += logp[np.arange(n), batch["actions"][:, h]]
         entropy_bonus += float(np.mean(-np.sum(np.exp(logp) * logp, axis=1)))
-    ratio = np.exp(new_log_probs - batch["old_log_probs"])
+    ratio = np.exp(new_log_probs - batch["old_log_probs"].astype(np.float64))
     clipped = np.clip(ratio, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon)
+    adv = adv.astype(np.float64)
     surrogate = -float(np.mean(np.minimum(ratio * adv, clipped * adv)))
     return surrogate - cfg.entropy_weight * entropy_bonus
 
 
-def _critic_objective(agent, batch):
-    values = agent.critic.forward(batch["states"])[0][0][:, 0]
-    return float(agent.config.mse_weight * np.mean((values - batch["td_targets"]) ** 2))
+def _critic_objective(agent, params, batch):
+    values = _forward64(agent.critic, params, batch["states"])[0][:, 0]
+    td_targets = batch["td_targets"].astype(np.float64)
+    return float(agent.config.mse_weight * np.mean((values - td_targets) ** 2))
 
 
-def _check_by_finite_differences(params, grads, objective, eps=1e-6):
+def _check_by_finite_differences(net, grads, objective, eps=1e-6):
+    """Central differences of ``objective(params)`` over float64 copies of
+    ``net``'s float32 parameters, against the float32 ``grads``."""
+    params = [p.astype(np.float64) for p in net.parameters()]
     checked = 0
     for param, grad in zip(params, grads):
+        assert grad.dtype == np.float32
         flat, flat_grad = param.reshape(-1), grad.reshape(-1)
         for coord in (0, flat.size // 3, flat.size - 1):
             original = flat[coord]
             flat[coord] = original + eps
-            plus = objective()
+            plus = objective(params)
             flat[coord] = original - eps
-            minus = objective()
+            minus = objective(params)
             flat[coord] = original
             numeric = (plus - minus) / (2 * eps)
             assert flat_grad[coord] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
@@ -305,8 +329,9 @@ _FD_RATIOS = np.array([0.5, 1.6, 1.05] * 4)
 
 
 def _fd_batch(agent, data):
+    """A float32 training batch, as the replay buffer samples one."""
     n = len(_FD_RATIOS)
-    states = data.normal(size=(n, agent.feature_size))
+    states = data.normal(size=(n, agent.feature_size)).astype(np.float32)
     actions = agent.act(states).actions
     logits, _ = agent.actor.forward(states)
     logp = sum(
@@ -317,15 +342,16 @@ def _fd_batch(agent, data):
     return {
         "states": states,
         "actions": actions,
-        "old_log_probs": logp - np.log(_FD_RATIOS),
-        "advantages": signs * (1.0 + data.random(n)),
-        "td_targets": data.normal(size=n),
+        "old_log_probs": (logp - np.log(_FD_RATIOS)).astype(np.float32),
+        "advantages": (signs * (1.0 + data.random(n))).astype(np.float32),
+        "td_targets": data.normal(size=n).astype(np.float32),
     }
 
 
 def test_actor_gradient_matches_finite_differences():
     agent = PPOAgent(FEATURE_SIZE, (17, 5, 5, 5), config=HARLConfig.scaled(), seed=2)
     batch = _fd_batch(agent, np.random.default_rng(9))
+    # The normalised advantages of ``_train_step``, in the same float32 ops.
     adv = batch["advantages"]
     adv = (adv - np.mean(adv)) / (np.std(adv) + 1e-8)
 
@@ -340,7 +366,7 @@ def test_actor_gradient_matches_finite_differences():
     _capture_grads(agent.critic_opt)
     agent._train_step(batch)
     checked = _check_by_finite_differences(
-        agent.actor.parameters(), captured[0], lambda: _actor_objective(agent, batch, adv)
+        agent.actor, captured[0], lambda params: _actor_objective(agent, params, batch, adv)
     )
     assert checked == 3 * len(agent.actor.parameters())
 
@@ -352,6 +378,6 @@ def test_critic_gradient_matches_finite_differences():
     captured = _capture_grads(agent.critic_opt)
     agent._train_step(batch)
     checked = _check_by_finite_differences(
-        agent.critic.parameters(), captured[0], lambda: _critic_objective(agent, batch)
+        agent.critic, captured[0], lambda params: _critic_objective(agent, params, batch)
     )
     assert checked == 3 * len(agent.critic.parameters())

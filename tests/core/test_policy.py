@@ -106,20 +106,27 @@ class TestMultiHeadMLP:
             MultiHeadMLP(4, (8,), ())
 
     def test_backward_gradient_matches_finite_differences(self):
-        """The analytic gradient of a scalar loss matches numeric differentiation."""
+        """The analytic gradient of a scalar loss matches numeric differentiation.
+
+        The network computes in float32; the loss is evaluated in float64
+        over float64 copies of its parameters, so the differences measure
+        the gradient rather than float32 rounding.
+        """
         rng = np.random.default_rng(3)
         net = MultiHeadMLP(5, (6,), (4,), rng=rng)
-        x = rng.normal(size=(3, 5))
-        target = rng.normal(size=(3, 4))
+        x = rng.normal(size=(3, 5)).astype(np.float32)
+        target = rng.normal(size=(3, 4)).astype(np.float32)
+        # trunk weight, trunk bias, head weight, head bias
+        params = [p.astype(np.float64) for p in net.parameters()]
 
         def loss_value():
-            out, _ = net.forward(x)
-            return 0.5 * float(np.sum((out[0] - target) ** 2))
+            W1, b1, W2, b2 = params
+            out = np.tanh(x.astype(np.float64) @ W1 + b1) @ W2 + b2
+            return 0.5 * float(np.sum((out - target) ** 2))
 
         out, cache = net.forward(x)
         grads = net.backward(cache, [out[0] - target])
 
-        params = net.parameters()
         eps = 1e-6
         # Check a handful of coordinates across different parameter tensors.
         for p_idx in (0, 1, 2, 3):

@@ -64,11 +64,16 @@ class TestReplayBuffer:
 
 
 class _PerRowBuffer(ReplayBuffer):
-    """The buffer with a transition-at-a-time ``add``."""
+    """The buffer with a transition-at-a-time ``add``.
+
+    It reserves its rows through the buffer's own storage path, so both
+    buffers hold arrays of the same shape and compare in full.
+    """
 
     def add(self, states, actions, old_log_probs, rewards, td_targets, advantages):
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        states = np.atleast_2d(np.asarray(states, dtype=np.float32))
         actions = np.atleast_2d(np.asarray(actions, dtype=np.int64))
+        self._reserve(min(self._next + states.shape[0], self.capacity))
         for i in range(states.shape[0]):
             idx = self._next
             self._states[idx] = states[i]
@@ -125,6 +130,74 @@ class TestAddEqualsPerRowLoop:
         assert buf._states[:, 0].tolist() == [7.0, 8.0, 9.0, 6.0]
         assert buf._advantages.tolist() == [7.0, 8.0, 9.0, 6.0]
         assert buf._next == 3
+
+
+class _UpFrontBuffer(ReplayBuffer):
+    """The buffer with all ``capacity`` rows allocated at construction."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._reserve(self.capacity)
+
+
+class TestStorageGrowth:
+    FIELDS = TestAddEqualsPerRowLoop.FIELDS
+
+    @staticmethod
+    def _rows(buf):
+        rows = {getattr(buf, name).shape[0] for name in TestStorageGrowth.FIELDS}
+        assert len(rows) == 1
+        return rows.pop()
+
+    def test_storage_starts_empty_and_is_float32(self):
+        buf = ReplayBuffer(capacity=16, state_size=6, num_heads=4)
+        assert self._rows(buf) == 0
+        buf.add(*_random_batch(np.random.default_rng(0), 3))
+        assert self._rows(buf) == 3
+        for name in self.FIELDS:
+            expected = np.int64 if name == "_actions" else np.float32
+            assert getattr(buf, name).dtype == expected, name
+
+    # 1, 1, 2, ... doubles the storage several times; 45 takes it to the
+    # 100-row capacity before the buffer is full; 30 wraps.  The second case
+    # overflows the capacity with its first batch.
+    @pytest.mark.parametrize("sizes", [(1, 1, 2, 3, 5, 9, 17, 7, 45, 1, 30, 64), (150, 3)])
+    def test_growth_bound_and_same_contents_as_up_front(self, sizes):
+        rng = np.random.default_rng(1)
+        buf = ReplayBuffer(capacity=100, state_size=6, num_heads=4, seed=5)
+        full = _UpFrontBuffer(capacity=100, state_size=6, num_heads=4, seed=5)
+        added = 0
+        grown = set()
+        for n in sizes:
+            batch = _random_batch(rng, n)
+            buf.add(*batch)
+            full.add(*batch)
+            added += n
+            rows = self._rows(buf)
+            grown.add(rows)
+            if added < buf.capacity:  # not wrapped yet
+                assert len(buf) <= rows <= min(buf.capacity, 2 * len(buf))
+            else:
+                assert rows == buf.capacity
+            assert len(buf) == len(full) and buf._next == full._next
+            for name in self.FIELDS:
+                stored, reference = getattr(buf, name), getattr(full, name)
+                assert np.array_equal(stored, reference[:rows])
+                assert not reference[rows:].any()
+            sample, ref_sample = buf.sample(32), full.sample(32)
+            for key, value in sample.items():
+                assert np.array_equal(value, ref_sample[key])
+        if len(sizes) > 2:
+            assert len(grown) >= 5  # several doublings before the capacity
+
+    def test_clear_releases_the_storage(self):
+        buf = ReplayBuffer(capacity=8, state_size=6, num_heads=4)
+        buf.add(*_random_batch(np.random.default_rng(2), 11))
+        assert self._rows(buf) == 8
+        buf.clear()
+        assert len(buf) == 0 and self._rows(buf) == 0
+        buf.add(*_random_batch(np.random.default_rng(3), 2))
+        assert len(buf) == 2 and self._rows(buf) == 2
 
 
 def sample_size(sample):

@@ -126,6 +126,46 @@ def test_bandit_counts_never_exceed_window(num_arms, rewards, window):
     assert np.all((values >= 0.0) & (values <= 1.0))
 
 
+@st.composite
+def _bandit_plays(draw):
+    """A bandit, the (arm, reward) plays fed to it, and an optional ``among``."""
+    num_arms = draw(st.integers(min_value=1, max_value=8))
+    window = draw(st.integers(min_value=1, max_value=24))
+    arms = st.integers(min_value=0, max_value=num_arms - 1)
+    plays = draw(st.lists(st.tuples(arms, st.floats(min_value=-1.0, max_value=1.0)),
+                          max_size=60))
+    among = draw(st.none() | st.lists(arms, min_size=1, max_size=num_arms, unique=True))
+    return num_arms, window, plays, among
+
+
+@SETTINGS
+@given(case=_bandit_plays(), seed=st.integers(min_value=0, max_value=2**16))
+def test_bandit_window_counts_and_selection(case, seed):
+    num_arms, window, plays, among = case
+    mab = SlidingWindowUCB(num_arms, window=window, rng=np.random.default_rng(seed))
+    for arm, reward in plays:
+        mab.update(arm, reward)
+
+    # The window holds exactly the last ``window`` plays.
+    counts = mab.counts()
+    assert counts.sum() == min(mab.t, window)
+    recent = [arm for arm, _reward in plays[-window:]] if plays else []
+    assert np.array_equal(counts, np.bincount(recent, minlength=num_arms))
+
+    # An arm absent from the window scores +inf, every other arm finitely.
+    scores = mab.ucb_scores()
+    assert np.array_equal(np.isposinf(scores), counts == 0)
+    assert np.isfinite(scores[counts > 0]).all()
+
+    allowed = list(range(num_arms)) if among is None else among
+    chosen = mab.select(among=among)
+    assert chosen in allowed
+    if any(counts[arm] == 0 for arm in allowed):
+        assert counts[chosen] == 0
+    else:
+        assert np.isclose(scores[chosen], max(scores[arm] for arm in allowed))
+
+
 # --------------------------------------------------------------------------- #
 # adaptive stopping invariants
 # --------------------------------------------------------------------------- #
@@ -159,3 +199,56 @@ def test_tree_predictions_stay_within_target_range(seed, n, depth):
     assert np.all(pred >= y.min() - 1e-9)
     assert np.all(pred <= y.max() + 1e-9)
     assert np.all(np.isfinite(pred))
+
+
+@SETTINGS
+@given(advantages=st.lists(st.integers(min_value=-3, max_value=3).map(float), max_size=64),
+       ratio=st.floats(min_value=0.01, max_value=0.99))
+def test_adaptive_stopper_survivors_rank_by_advantage_then_index(advantages, ratio):
+    """Survivors are the top ``n - floor(rho n)`` by (advantage, index), in input order.
+
+    Advantages come from a handful of values, so most cases have ties.
+    """
+    stopper = AdaptiveStopper(window_size=5, elimination_ratio=ratio, min_tracks=1)
+    n = len(advantages)
+    survivors = stopper.select_survivors(advantages)
+    assert len(survivors) == n - int(np.floor(ratio * n))
+    assert survivors == sorted(set(survivors))
+    assert all(0 <= i < n for i in survivors)
+    eliminated = sorted(set(range(n)) - set(survivors))
+    for i in eliminated:
+        for j in survivors:
+            # Lower advantage goes first; among equals, the lower index.
+            assert (advantages[i], i) < (advantages[j], j)
+
+
+def _simulated_visits(stopper, num_tracks):
+    """Schedules an episode visits, stepped through ``should_continue``,
+    ``is_elimination_step`` and ``select_survivors`` as the episode loop does.
+
+    A round that eliminates nothing stops the count: the episode itself
+    would then run to its step cap, and ``expected_total_steps`` counts
+    that round's window and stops too.
+    """
+    rng = np.random.default_rng(0)
+    live, step, visits = num_tracks, 0, 0
+    while stopper.should_continue(step, live):
+        visits += live
+        step += 1
+        if stopper.is_elimination_step(step):
+            survivors = len(stopper.select_survivors(rng.normal(size=live)))
+            if survivors == live:
+                break
+            live = survivors
+    return visits
+
+
+@SETTINGS
+@given(window=st.integers(min_value=1, max_value=8),
+       ratio=st.floats(min_value=0.05, max_value=0.95),
+       min_tracks=st.integers(min_value=1, max_value=16),
+       num_tracks=st.integers(min_value=0, max_value=200))
+def test_adaptive_stopper_expected_total_steps_matches_simulation(window, ratio, min_tracks,
+                                                                 num_tracks):
+    stopper = AdaptiveStopper(window_size=window, elimination_ratio=ratio, min_tracks=min_tracks)
+    assert stopper.expected_total_steps(num_tracks) == _simulated_visits(stopper, num_tracks)
