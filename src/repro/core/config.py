@@ -86,9 +86,13 @@ class HARLConfig:
     def scaled(factor: float = 0.125) -> "HARLConfig":
         """A proportionally smaller configuration for fast tests / CI benches.
 
-        ``factor`` scales the episode width (tracks, measured candidates) and
-        the adaptive-stopping window; the RL and MAB hyper-parameters are kept
-        at their paper values because they are scale free.
+        ``factor`` scales the episode width (tracks, measured candidates), the
+        adaptive-stopping window and episode length, and the PPO minibatch;
+        the other RL hyper-parameters and the MAB ones (the UCB constant and
+        the SW-UCB window tau) keep their paper values because they are scale
+        free.  A window below a network's number of subgraphs would let an
+        arm drop out of it, score +inf and be played again, so the bandit
+        would cycle through the arms and never exploit.
         """
         if not (0.0 < factor <= 1.0):
             raise ValueError("factor must be in (0, 1]")
@@ -101,5 +105,4 @@ class HARLConfig:
             window_size=max(4, int(round(base.window_size * factor * 2))),
             episode_length=max(8, int(round(base.episode_length * factor * 2))),
             minibatch_size=max(32, int(round(base.minibatch_size * factor))),
-            ucb_window=max(16, int(round(base.ucb_window * factor))),
         )

@@ -1,8 +1,11 @@
 """Unit tests for the HARL configuration object."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import HARLConfig
+from repro.core.subgraph_reward import SubgraphBandit
+from repro.networks.mobilenet import build_mobilenet_v2
 
 
 class TestDefaults:
@@ -45,6 +48,32 @@ class TestScaled:
         assert cfg.actor_lr == base.actor_lr
         assert cfg.discount == base.discount
         assert cfg.entropy_weight == base.entropy_weight
+        assert cfg.ucb_constant == base.ucb_constant
+        assert cfg.ucb_window == base.ucb_window
+
+    def test_scaled_subgraph_bandit_keeps_every_mobilenet_arm_in_its_window(self):
+        """After warm-up the scaled config's subgraph bandit only plays arms
+        inside its SW-UCB window.
+
+        An arm outside the window scores +inf and is played next whatever
+        its reward, so with a window shorter than MobileNet-V2's 38
+        subgraphs the bandit would cycle through the arms for good.
+        """
+        network = build_mobilenet_v2()
+        assert len(network) == 38
+        cfg = HARLConfig.scaled()
+        bandit = SubgraphBandit(
+            network, alpha=cfg.alpha, beta=cfg.beta, backward_window=cfg.backward_window,
+            exploration=cfg.ucb_constant, window=cfg.ucb_window, rng=np.random.default_rng(0),
+        )
+        data = np.random.default_rng(1)
+        best = {sg.name: 1.0 + data.random() for sg in network}
+        for play in range(4 * len(network)):
+            name = bandit.next_task()
+            if play >= len(network):
+                assert bandit.mab.counts()[bandit._index[name]] > 0, (play, name)
+            best[name] *= 1.0 - 0.2 * data.random()
+            bandit.record(name, best[name], trials=4)
 
     def test_scaled_factor_one_keeps_paper_scale(self):
         cfg = HARLConfig.scaled(1.0)
