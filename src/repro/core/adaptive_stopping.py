@@ -28,7 +28,9 @@ class AdaptiveStopper:
         Fraction (``rho``) of live tracks eliminated at each round.
     min_tracks:
         Elimination stops once the number of live tracks would drop below this
-        value (``p-hat``); the episode then ends.
+        value (``p-hat``); the episode then ends.  It also ends after a round
+        that eliminates no track (``rho * live < 1``), since every later round
+        would keep them all too.
     """
 
     def __init__(self, window_size: int = 20, elimination_ratio: float = 0.5, min_tracks: int = 64):

@@ -72,6 +72,9 @@ class HARLConfig:
             raise ValueError("discount must be in [0, 1]")
         if not (0.0 < self.clip_epsilon < 1.0):
             raise ValueError("clip_epsilon must be in (0, 1)")
+        for name in ("train_interval", "ppo_epochs", "minibatch_size", "replay_capacity"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     def replace(self, **kwargs) -> "HARLConfig":
         """Return a copy with some fields replaced."""

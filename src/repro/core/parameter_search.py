@@ -199,6 +199,11 @@ class ParameterSearcher:
             states = next_states
             if self.stopper.is_elimination_step(step):
                 survivors = set(self.stopper.select_survivors(advantages))
+                if len(survivors) == len(live):
+                    # Every later round would keep them all too (rho * live
+                    # < 1), so the episode ends here, as
+                    # ``AdaptiveStopper.expected_total_steps`` counts it.
+                    break
                 kept = [idx in survivors for idx in range(len(live))]
                 for track, keep in zip(live, kept):
                     track.alive = keep

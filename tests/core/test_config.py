@@ -108,3 +108,13 @@ class TestValidation:
     def test_rejects_bad_measures(self):
         with pytest.raises(ValueError):
             HARLConfig(measures_per_round=0)
+
+    @pytest.mark.parametrize(
+        "field", ["train_interval", "ppo_epochs", "minibatch_size", "replay_capacity"]
+    )
+    def test_rejects_ppo_sizes_below_one(self, field):
+        """A zero here used to fail mid-tune (``train_interval``: division by
+        zero) or train on NaN losses (``minibatch_size``: empty batches)."""
+        with pytest.raises(ValueError, match=field):
+            HARLConfig(**{field: 0})
+        assert getattr(HARLConfig(**{field: 1}), field) == 1

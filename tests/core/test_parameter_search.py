@@ -73,6 +73,20 @@ class TestEpisode:
         assert len(set(lengths)) > 1
         assert max(lengths) > min(lengths)
 
+    def test_episode_ends_when_an_elimination_round_removes_no_track(self, cpu, tiny_config):
+        """rho * live < 1 with live >= min_tracks: no round can remove a track,
+        so the episode ends after the first (it used to run 2,000 steps)."""
+        config = tiny_config.replace(
+            num_tracks=3, min_tracks=2, elimination_ratio=0.3, window_size=4
+        )
+        sketch = generate_sketches(gemm(64, 64, 64))[0]
+        searcher, _, _ = _make_searcher(sketch, cpu, config)
+        episode = searcher.run_episode()
+        assert searcher.stopper.expected_total_steps(3) == 12
+        assert episode.num_steps == config.window_size
+        assert episode.num_visited == 3 + 12
+        assert episode.track_lengths == [1 + config.window_size] * 3
+
     def test_fixed_length_episode_uniform_tracks(self, big_sketch, cpu, tiny_config):
         searcher, _, _ = _make_searcher(big_sketch, cpu, tiny_config, adaptive=False)
         episode = searcher.run_episode()
