@@ -7,13 +7,15 @@ the cost model only needs to rank a few hundred schedules per round — but the
 training loop, early stopping and feature subsampling mirror the structure of
 the real thing so the ablation experiments behave comparably.
 
-At the end of :meth:`GradientBoostedTrees.fit` the whole ensemble is packed
-into one set of flat node arrays (:class:`~repro.costmodel.tree.PackedTrees`,
-leaf values pre-multiplied by the learning rate), so :meth:`predict` routes
-a batch through every tree at once in ``max_depth`` vectorised steps rather
-than one tree at a time.  The per-tree contributions are then added in tree
-order with a sequential ``cumsum``, which keeps the result bit-identical to
-accumulating ``learning_rate * tree.predict(X)`` tree by tree.
+While boosting, each new tree predicts the training rows from its own node
+arrays.  At the end of :meth:`GradientBoostedTrees.fit` the whole ensemble
+is packed, once, into one set of flat node arrays
+(:class:`~repro.costmodel.tree.PackedTrees`, leaf values pre-multiplied by
+the learning rate), so :meth:`predict` routes a batch through every tree at
+once in ``max_depth`` vectorised steps rather than one tree at a time.  The
+per-tree contributions are then added in tree order with a sequential
+``cumsum``, which keeps the result bit-identical to accumulating
+``learning_rate * tree.predict(X)`` tree by tree.
 """
 
 from __future__ import annotations

@@ -27,12 +27,13 @@ single tree:
   prefix sums still run over every sorted row, since their sequential order
   is what the gains must reproduce.
 
-Prediction descends flat node arrays (:class:`PackedTrees`): feature,
-threshold, child indices and leaf value, with every leaf looping back to
-itself.  A whole feature matrix is routed through any number of trees at
-once, as an ``(n_rows, n_trees)`` node matrix advanced one level per NumPy
-step, ``depth`` steps in all.  A single tree is the one-tree case; the
-gradient-boosted ensemble packs all its trees into one set of arrays.
+Prediction descends flat node arrays: feature, threshold, child indices and
+leaf value, with every leaf looping back to itself.  A whole feature matrix
+is routed through any number of trees at once, as an ``(n_rows, n_trees)``
+node matrix advanced one level per NumPy step, ``depth`` steps in all.  A
+single tree descends its own node arrays (leaves turned into self-loops on
+the fly); the gradient-boosted ensemble packs all its trees once into one
+set of arrays (:class:`PackedTrees`).
 """
 
 from __future__ import annotations
@@ -85,20 +86,33 @@ class PackedTrees(NamedTuple):
 
     def leaf_values(self, X: np.ndarray) -> np.ndarray:
         """``(n_rows, n_trees)`` matrix of the leaf value each row reaches in each tree."""
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError("X must be 2-dimensional")
-        if X.shape[1] != self.n_features:
-            raise ValueError(
-                f"X has {X.shape[1]} features, but the model was fitted on {self.n_features}"
-            )
-        flat = X.ravel()
-        row_start = (np.arange(X.shape[0], dtype=np.intp) * X.shape[1])[:, None]
-        node = np.tile(self.roots, (X.shape[0], 1))
-        for _ in range(self.depth):
-            go_left = flat[row_start + self.feature[node]] <= self.threshold[node]
-            node = np.where(go_left, self.left[node], self.right[node])
+        X = _feature_matrix(X, self.n_features)
+        node = _descend(
+            X, self.feature, self.threshold, self.left, self.right, self.roots, self.depth
+        )
         return self.value[node]
+
+
+def _feature_matrix(X: np.ndarray, n_features: int) -> np.ndarray:
+    """``X`` as a C-contiguous float64 matrix ``n_features`` wide (else ``ValueError``)."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError("X must be 2-dimensional")
+    if X.shape[1] != n_features:
+        raise ValueError(f"X has {X.shape[1]} features, but the model was fitted on {n_features}")
+    return X
+
+
+def _descend(X, feature, threshold, left, right, roots, depth) -> np.ndarray:
+    """``(n_rows, n_trees)`` node each row of ``X`` reaches from each of ``roots``
+    after ``depth`` levels, through node arrays whose leaves loop to themselves."""
+    flat = X.ravel()
+    row_start = (np.arange(X.shape[0], dtype=np.intp) * X.shape[1])[:, None]
+    node = np.tile(roots, (X.shape[0], 1))
+    for _ in range(depth):
+        go_left = flat[row_start + feature[node]] <= threshold[node]
+        node = np.where(go_left, left[node], right[node])
+    return node
 
 
 class RegressionTree:
@@ -136,7 +150,6 @@ class RegressionTree:
         self.max_features = max_features
         self._rng = rng or np.random.default_rng(0)
         self.n_features: Optional[int] = None
-        self._packed: Optional[PackedTrees] = None
 
     # ------------------------------------------------------------------ #
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RegressionTree":
@@ -150,14 +163,26 @@ class RegressionTree:
             raise ValueError("cannot fit on an empty dataset")
         self.n_features = X.shape[1]
         self._grow(X, y)
-        self._packed = PackedTrees.pack([self])
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predict a whole feature matrix at once (the one-tree packed descent)."""
-        if self._packed is None:
+        """Predict a whole feature matrix at once, descending the tree's own
+        node arrays (no packing)."""
+        if self.n_features is None:
             raise RuntimeError("tree is not fitted")
-        return self._packed.leaf_values(X)[:, 0]
+        X = _feature_matrix(X, self.n_features)
+        leaf = self._node_feature < 0
+        index = np.arange(len(leaf))
+        node = _descend(
+            X,
+            np.where(leaf, 0, self._node_feature),
+            self._node_threshold,
+            np.where(leaf, index, self._node_left),
+            np.where(leaf, index, self._node_right),
+            np.zeros(1, dtype=np.intp),
+            self._depth,
+        )
+        return self._node_value[node[:, 0]]
 
     # ------------------------------------------------------------------ #
     def _grow(self, X: np.ndarray, y: np.ndarray) -> None:
