@@ -10,17 +10,36 @@ entropy bonus and an MSE value loss (weights from Table 5).
 The agent's public methods cast their inputs to the learner dtype
 (:data:`repro.core.policy.DTYPE`, float32) on entry, so its networks, its
 outputs and its replay rows are all in that dtype.
+
+The learner is fused to keep NumPy calls few.  The actor (trunk plus every
+head as one weight matrix and one bias) and the critic live back to back in
+one parameter buffer under one :class:`~repro.core.policy.Adam`, which keeps
+each network's own learning rate and gradient-norm clip.  Heads of equal
+width are handled as one *run*: the three 3-wide delta heads are one
+``(n, 3, 3)`` block, so a train step makes one softmax and one
+surrogate-plus-entropy gradient per run, one backward into one transient
+gradient buffer and one optimiser pass, and :meth:`PPOAgent.act` draws every
+head's uniforms in one ``random((num_heads, n))`` call (the same generator
+values as one ``(n, 1)`` draw per head, in head order).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import HARLConfig
-from repro.core.policy import DTYPE, Adam, MultiHeadMLP, softmax, softmax_and_log_softmax
+from repro.core.policy import (
+    DTYPE,
+    Adam,
+    MultiHeadMLP,
+    ParameterViews,
+    softmax_and_log_softmax,
+)
 from repro.core.rollout import ReplayBuffer
 
 __all__ = ["PPOAgent", "ActionBatch"]
@@ -55,10 +74,32 @@ class PPOAgent:
         self._rng = np.random.default_rng(seed)
 
         hidden = (self.config.hidden_size, self.config.hidden_size)
-        self.actor = MultiHeadMLP(feature_size, hidden, self.head_sizes, rng=self._rng)
-        self.critic = MultiHeadMLP(feature_size, hidden, (1,), rng=self._rng)
-        self.actor_opt = Adam(self.actor.parameters(), lr=self.config.actor_lr)
-        self.critic_opt = Adam(self.critic.parameters(), lr=self.config.critic_lr)
+        actor_shapes = MultiHeadMLP.layout(self.feature_size, hidden, self.head_sizes)
+        critic_shapes = MultiHeadMLP.layout(self.feature_size, hidden, (1,))
+        self._shapes = actor_shapes + critic_shapes
+        size = sum(math.prod(shape) for shape in self._shapes)
+        self._params = ParameterViews(np.zeros(size, dtype=DTYPE), self._shapes)
+        buffer = self._params.buffer
+        self.actor = MultiHeadMLP(
+            self.feature_size, hidden, self.head_sizes, rng=self._rng, buffer=buffer
+        )
+        self.critic = MultiHeadMLP(
+            self.feature_size, hidden, (1,), rng=self._rng, buffer=buffer, offset=self.actor.size
+        )
+        self.optimizer = Adam(
+            self._params,
+            lr=(self.config.actor_lr, self.config.critic_lr),
+            groups=(len(actor_shapes), len(critic_shapes)),
+        )
+        #: ``(first head, heads, first column, width)`` of every run of
+        #: consecutive equal-width heads.
+        self._runs: List[Tuple[int, int, int, int]] = []
+        head = 0
+        for width, run in itertools.groupby(self.head_sizes):
+            count = len(list(run))
+            self._runs.append((head, count, self.actor.head_offsets[head], width))
+            head += count
+        self._head_starts = np.asarray(self.actor.head_offsets[:-1], dtype=np.intp)
 
         self.buffer = ReplayBuffer(
             capacity=self.config.replay_capacity,
@@ -68,13 +109,54 @@ class PPOAgent:
         )
         self.updates = 0
 
+    def parameters(self) -> ParameterViews:
+        """Actor then critic parameter arrays (see :meth:`MultiHeadMLP.parameters`),
+        views into the agent's one buffer."""
+        return self._params
+
+    # ------------------------------------------------------------------ #
+    # policy evaluation
+    # ------------------------------------------------------------------ #
+    def _distributions(
+        self, logits: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
+        """Every head's softmax and log-softmax of the actor's ``logits``.
+
+        ``logits`` (``(n, sum(head_sizes))``, consumed: it becomes the
+        log-probabilities) goes through one max-shift/exp/sum pass per run.
+        Returns ``(probs, log_probs, runs)``: two arrays shaped like
+        ``logits`` and, per run, ``(n, heads, width)`` views of them.
+        """
+        n = len(logits)
+        probs = np.empty_like(logits)
+        runs = []
+        for _, count, start, width in self._runs:
+            block = np.s_[:, start : start + count * width]
+            runs.append(
+                softmax_and_log_softmax(
+                    logits[block].reshape(n, count, width), out=probs[block].reshape(n, count, width)
+                )
+            )
+        return probs, logits, runs
+
+    def _taken(self, actions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Index of every row's action of every head into an ``(n,
+        sum(head_sizes))`` array; indexing with it gives ``(num_heads, n)``."""
+        return np.arange(len(actions)), self._head_starts[:, None] + actions.T
+
+    @staticmethod
+    def _joint(log_probs: np.ndarray, taken: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Joint log-probability of the ``taken`` actions, summed in head order."""
+        return np.add.reduce(log_probs[taken], axis=0)
+
     # ------------------------------------------------------------------ #
     # acting
     # ------------------------------------------------------------------ #
     def policy_distributions(self, states: np.ndarray) -> List[np.ndarray]:
         """Per-head action probabilities for a batch of states."""
-        logits, _ = self.actor.forward(states)
-        return [softmax(l) for l in logits]
+        probs, _, _ = self._distributions(self.actor.forward(states)[0])
+        bounds = self.actor.head_offsets
+        return [probs[:, a:b] for a, b in zip(bounds, bounds[1:])]
 
     def act(self, states: np.ndarray, greedy: bool = False) -> ActionBatch:
         """Sample one joint action per state (or take the argmax when ``greedy``).
@@ -85,29 +167,30 @@ class PPOAgent:
         float32 rows do, by up to 1e-6), so the last action also takes every
         draw at or above that sum; no other draw changes its action.
         """
-        states = np.atleast_2d(np.asarray(states, dtype=DTYPE))
+        states = np.asarray(states, dtype=DTYPE)  # cast once for both networks
         logits, _ = self.actor.forward(states)
-        n = states.shape[0]
-        actions = np.zeros((n, len(self.head_sizes)), dtype=np.int64)
-        log_probs = np.zeros(n, dtype=DTYPE)
-        for h, head_logits in enumerate(logits):
-            probs, logp = softmax_and_log_softmax(head_logits)
+        n = len(logits)
+        _, log_probs, runs = self._distributions(logits)
+        actions = np.empty((n, len(self.head_sizes)), dtype=np.int64)
+        if not greedy:
+            draws = self._rng.random((len(self.head_sizes), n))
+        for (first, count, _, _), (probs, _) in zip(self._runs, runs):
             if greedy:
-                chosen = np.argmax(probs, axis=1)
+                chosen = probs.argmax(axis=2)
             else:
-                cumulative = np.cumsum(probs, axis=1)
-                cumulative[:, -1] = np.inf
-                draws = self._rng.random((n, 1))
-                chosen = np.argmax(cumulative > draws, axis=1)
-            actions[:, h] = chosen
-            log_probs += logp[np.arange(n), chosen]
-        return ActionBatch(actions=actions, log_probs=log_probs, values=self.value(states))
+                cumulative = probs.cumsum(axis=2)
+                cumulative[:, :, -1] = np.inf
+                chosen = (cumulative > draws[first : first + count].T[:, :, None]).argmax(axis=2)
+            actions[:, first : first + count] = chosen
+        return ActionBatch(
+            actions=actions,
+            log_probs=self._joint(log_probs, self._taken(actions)),
+            values=self.critic.forward(states)[0][:, 0],
+        )
 
     def value(self, states: np.ndarray) -> np.ndarray:
         """Critic value estimates ``V(s)`` for a batch of states."""
-        states = np.atleast_2d(np.asarray(states, dtype=DTYPE))
-        outputs, _ = self.critic.forward(states)
-        return outputs[0][:, 0]
+        return self.critic.forward(states)[0][:, 0]
 
     # ------------------------------------------------------------------ #
     # experience
@@ -152,63 +235,59 @@ class PPOAgent:
         cfg = self.config
         states = batch["states"]
         actions = batch["actions"]
-        old_log_probs = batch["old_log_probs"]
-        advantages = batch["advantages"]
         td_targets = batch["td_targets"]
         n = states.shape[0]
 
-        # Normalising advantages stabilises the tiny-batch PPO updates.
-        adv = advantages
+        # Normalising advantages stabilises the tiny-batch PPO updates
+        # (``(adv - mean) / (std + 1e-8)``, the float32 ops of ``np.std``).
+        adv = batch["advantages"]
         if n > 1:
-            std = np.std(adv)
+            mean = np.add.reduce(adv) / n
+            deviation = adv - mean
+            std = np.sqrt(np.add.reduce(deviation * deviation) / n)
             if std > 1e-8:
-                adv = (adv - np.mean(adv)) / (std + 1e-8)
+                adv = deviation / (std + 1e-8)
 
-        # ---------------- actor ---------------- #
-        logits, actor_cache = self.actor.forward(states)
-        rows = np.arange(n)
-        new_log_probs = np.zeros(n, dtype=DTYPE)
-        head_dists = []
-        for h, head_logits in enumerate(logits):
-            probs, logp = softmax_and_log_softmax(head_logits)
-            head_dists.append((probs, logp))
-            new_log_probs += logp[rows, actions[:, h]]
+        logits, actor_acts = self.actor.forward(states)
+        values, critic_acts = self.critic.forward(states)
 
-        ratio = np.exp(np.clip(new_log_probs - old_log_probs, -20.0, 20.0))
-        clipped = np.clip(ratio, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon)
+        # ---------------- actor: clipped surrogate + entropy ---------------- #
+        probs, log_probs, runs = self._distributions(logits)
+        taken = self._taken(actions)
+        log_ratio = self._joint(log_probs, taken) - batch["old_log_probs"]
+        ratio = np.exp(np.minimum(np.maximum(log_ratio, -20.0), 20.0))
+        clipped = np.minimum(np.maximum(ratio, 1.0 - cfg.clip_epsilon), 1.0 + cfg.clip_epsilon)
         surr1 = ratio * adv
         surr2 = clipped * adv
-        actor_loss = -float(np.mean(np.minimum(surr1, surr2)))
+        actor_loss = -float(np.add.reduce(np.minimum(surr1, surr2)) / n)
 
         # Gradient of the clipped surrogate w.r.t. the joint log-probability:
-        # only unclipped samples propagate gradient.
+        # only unclipped samples propagate gradient.  Each head's logits get
+        # dloss_dlogp * (onehot - probs): dloss_dlogp * -probs off the taken
+        # action (the same float32 value) and dloss_dlogp * (1 - probs) on it.
         unclipped_mask = (surr1 <= surr2).astype(DTYPE)
         dloss_dlogp = -(adv * ratio * unclipped_mask) / n
+        grad_logits = probs * -dloss_dlogp[:, None]
+        grad_logits[taken] = dloss_dlogp * (1.0 - probs[taken])
 
         entropy_total = 0.0
-        head_grads = []
-        for h, (probs, logp) in enumerate(head_dists):
-            onehot = np.zeros_like(probs)
-            onehot[rows, actions[:, h]] = 1.0
-            grad = dloss_dlogp[:, None] * (onehot - probs)
-
-            entropy = -np.sum(probs * logp, axis=1)
-            entropy_total += float(np.mean(entropy))
+        for (_, count, start, width), (run_probs, run_logp) in zip(self._runs, runs):
+            entropy = -np.add.reduce(run_probs * run_logp, axis=2)
+            entropy_total += float(np.add.reduce(entropy, axis=None)) / n
             # d(-w_ent * H)/dz = w_ent * p * (log p + H)
-            grad += cfg.entropy_weight * probs * (logp + entropy[:, None]) / n
-            head_grads.append(grad)
+            grad = grad_logits[:, start : start + count * width].reshape(n, count, width)
+            grad += cfg.entropy_weight * run_probs * (run_logp + entropy[:, :, None]) / n
 
-        actor_grads = self.actor.backward(actor_cache, head_grads)
-        self.actor_opt.step(actor_grads)
-
-        # ---------------- critic ---------------- #
-        value_out, critic_cache = self.critic.forward(states)
-        values = value_out[0][:, 0]
-        value_error = values - td_targets
-        critic_loss = float(cfg.mse_weight * np.mean(value_error ** 2))
+        # ---------------- critic: MSE to the TD targets ---------------- #
+        value_error = values[:, 0] - td_targets
+        critic_loss = float(cfg.mse_weight * (np.add.reduce(value_error ** 2) / n))
         grad_value = (2.0 * cfg.mse_weight * value_error / n)[:, None]
-        critic_grads = self.critic.backward(critic_cache, [grad_value])
-        self.critic_opt.step(critic_grads)
+
+        grads = ParameterViews(np.empty_like(self._params.buffer), self._shapes)
+        split = len(self.actor.shapes)
+        self.actor.backward(actor_acts, grad_logits, grads[:split])
+        self.critic.backward(critic_acts, grad_value, grads[split:])
+        self.optimizer.step(grads)
 
         return {
             "actor_loss": actor_loss,

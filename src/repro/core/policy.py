@@ -11,18 +11,21 @@ Every learner array is :data:`DTYPE` (float32): parameters, activations,
 gradients and Adam moments here, and the agent's outputs and replay rows
 (:mod:`repro.core.actor_critic`, :mod:`repro.core.rollout`).  Inputs are
 cast once on entry, and Python scalars do not promote float32 arrays, so
-the whole learner runs in that one dtype.  A tune holds one agent per
-(workload, sketch); float32 halves each agent's parameters and Adam
-moments, and every matrix product moves half the bytes.
+the whole learner runs in that one dtype.
 
-At these sizes much of the learner's cost is NumPy call overhead, so the
-parameters live in one contiguous buffer per network
-(:class:`ParameterViews`): :meth:`MultiHeadMLP.backward` writes gradients
-into one fresh buffer of the same layout, and :class:`Adam` updates
-everything in a handful of whole-buffer ufunc calls instead of a dozen per
-parameter array.  Every element still goes through the same operations in
-the same order as a per-array implementation, so the results are
-bit-identical to it.
+At these sizes much of the learner's cost is NumPy call overhead, so every
+call covers as much as it can:
+
+* A network's heads are one weight matrix and one bias (each head a block of
+  columns), so the heads cost one matmul forward and one backward.
+* Parameters live in one contiguous buffer (:class:`ParameterViews`), and
+  several networks can share one buffer at different offsets: a
+  :class:`~repro.core.actor_critic.PPOAgent` keeps its actor and its critic
+  back to back, and :class:`Adam` steps both in one pass over the buffer,
+  each network (a parameter *group*) with its own learning rate and its own
+  gradient-norm clip.
+* :meth:`MultiHeadMLP.backward` writes gradients straight into views of one
+  transient gradient buffer of the same layout.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ __all__ = [
     "MultiHeadMLP",
     "Adam",
     "ParameterViews",
-    "softmax",
-    "log_softmax",
     "softmax_and_log_softmax",
 ]
 
@@ -47,54 +48,79 @@ __all__ = [
 DTYPE = np.float32
 
 
-def softmax_and_log_softmax(logits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Row-wise ``(softmax, log_softmax)`` from one max-shift/exp/sum pass."""
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    total = np.sum(exp, axis=-1, keepdims=True)
-    return exp / total, shifted - np.log(total)
+def softmax_and_log_softmax(
+    logits: np.ndarray, out: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(softmax, log_softmax)`` over the last axis from one max-shift/exp/sum pass.
 
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with the usual max-shift for numerical stability."""
-    return softmax_and_log_softmax(logits)[0]
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    return softmax_and_log_softmax(logits)[1]
+    With ``out`` (shaped like ``logits``) the pass runs in place: the softmax
+    is written into ``out`` and ``logits`` itself becomes the log-softmax.
+    """
+    shifted = np.subtract(
+        logits,
+        np.maximum.reduce(logits, axis=-1, keepdims=True),
+        out=None if out is None else logits,
+    )
+    exp = np.exp(shifted, out=out)
+    total = np.add.reduce(exp, axis=-1, keepdims=True)
+    exp /= total
+    shifted -= np.log(total)
+    return exp, shifted
 
 
 class ParameterViews(tuple):
-    """Arrays laid back to back in one contiguous 1-D buffer.
+    """Arrays laid back to back in a contiguous stretch of a 1-D buffer.
 
-    Element ``i`` is a reshaped view of a slice of :attr:`flat`, so writes
-    through either are seen by both, and whole-buffer operations on
-    :attr:`flat` touch every array at once.
+    Element ``i`` is a reshaped view of a slice of :attr:`flat`, the stretch
+    of :attr:`buffer` that starts at :attr:`offset`, so writes through
+    either are seen by both, and whole-buffer operations on :attr:`flat`
+    touch every array at once.  Several ``ParameterViews`` may cover one
+    buffer at different offsets.
     """
 
+    buffer: np.ndarray
+    offset: int
     flat: np.ndarray
 
-    def __new__(cls, flat: np.ndarray, shapes: Sequence[Tuple[int, ...]]) -> "ParameterViews":
+    def __new__(
+        cls, buffer: np.ndarray, shapes: Sequence[Tuple[int, ...]], offset: int = 0
+    ) -> "ParameterViews":
+        sizes = [math.prod(shape) for shape in shapes]
+        end = offset + sum(sizes)
+        if end > buffer.size:
+            raise ValueError(
+                f"shapes cover elements {offset}..{end} of a {buffer.size}-element buffer"
+            )
+        if offset == 0 and end == buffer.size:
+            flat = buffer  # the object itself, which copies made with it share
+        else:
+            flat = buffer[offset:end]
         views = []
-        offset = 0
-        for shape in shapes:
-            size = math.prod(shape)
-            views.append(flat[offset : offset + size].reshape(shape))
-            offset += size
-        if offset != flat.size:
-            raise ValueError(f"shapes cover {offset} elements of a {flat.size}-element buffer")
+        start = 0
+        for shape, size in zip(shapes, sizes):
+            views.append(flat[start : start + size].reshape(shape))
+            start += size
         self = super().__new__(cls, views)
+        self.buffer = buffer
+        self.offset = offset
         self.flat = flat
         return self
 
     def __reduce__(self):
-        # Copies and pickles rebuild the views over one (copied) buffer, so
-        # a copied network and its copied optimiser still share it.
-        return (type(self), (self.flat, tuple(view.shape for view in self)))
+        # Copies and pickles rebuild the views over the (copied) buffer.  The
+        # buffer object is shared by every ``ParameterViews`` over it (and
+        # by an optimiser over the whole of it), so copying them together
+        # copies the buffer once and they all keep sharing it.
+        return (type(self), (self.buffer, tuple(view.shape for view in self), self.offset))
 
 
 class MultiHeadMLP:
-    """MLP trunk (tanh activations) with multiple linear output heads.
+    """MLP trunk (tanh activations) with several linear output heads.
+
+    The heads are stored as one ``(trunk_out, sum(head_sizes))`` weight
+    matrix and one bias, head ``h`` owning the column block
+    ``head_offsets[h] : head_offsets[h + 1]``, so the heads cost one matmul
+    forward and one backward.
 
     Parameters
     ----------
@@ -104,6 +130,12 @@ class MultiHeadMLP:
         Widths of the trunk's hidden layers.
     head_sizes:
         Output dimension of each head.  A critic is simply ``head_sizes=(1,)``.
+    rng:
+        Draws the initial weights.
+    buffer, offset:
+        Where the parameters live: ``buffer[offset : offset + size]`` of a
+        zero-filled buffer (the biases start at zero).  By default the
+        network allocates a buffer of its own.
     """
 
     def __init__(
@@ -112,6 +144,8 @@ class MultiHeadMLP:
         hidden_sizes: Sequence[int],
         head_sizes: Sequence[int],
         rng: Optional[np.random.Generator] = None,
+        buffer: Optional[np.ndarray] = None,
+        offset: int = 0,
     ):
         if not head_sizes:
             raise ValueError("at least one head is required")
@@ -119,42 +153,53 @@ class MultiHeadMLP:
         self.input_size = int(input_size)
         self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
         self.head_sizes = tuple(int(h) for h in head_sizes)
+        self.head_offsets = tuple(np.cumsum((0,) + self.head_sizes).tolist())
+        self.shapes = self.layout(self.input_size, self.hidden_sizes, self.head_sizes)
+        self.size = sum(math.prod(s) for s in self.shapes)
+        if buffer is None:
+            buffer = np.zeros(self.size, dtype=DTYPE)
+        self._params = ParameterViews(buffer, self.shapes, offset)
 
-        # Parameter order (and buffer layout): trunk weights, trunk biases,
-        # head weights, head biases.
-        trunk_in = (self.input_size,) + self.hidden_sizes[:-1]
-        trunk_out = self.hidden_sizes[-1] if self.hidden_sizes else self.input_size
-        self.shapes: Tuple[Tuple[int, ...], ...] = (
-            tuple(zip(trunk_in, self.hidden_sizes))
-            + tuple((w,) for w in self.hidden_sizes)
-            + tuple((trunk_out, w) for w in self.head_sizes)
-            + tuple((w,) for w in self.head_sizes)
-        )
-        self._params = ParameterViews(
-            np.zeros(sum(math.prod(s) for s in self.shapes), dtype=DTYPE), self.shapes
-        )
-
-        # Same draws, in the same order, as allocating each array on its own
-        # (drawn in float64, stored rounded to DTYPE).
+        # Same draws, in the same order, as allocating each trunk layer and
+        # each head on its own (drawn in float64, stored rounded to DTYPE).
         trunk_weights, _, head_weights, _ = self._groups(self._params)
         prev = self.input_size
         for W in trunk_weights:
             W[...] = rng.normal(0.0, np.sqrt(2.0 / prev), size=W.shape)
             prev = W.shape[1]
-        for W in head_weights:
-            W[...] = rng.normal(0.0, 0.1 * np.sqrt(1.0 / prev), size=W.shape)
+        scale = 0.1 * np.sqrt(1.0 / prev)
+        for start, stop in zip(self.head_offsets, self.head_offsets[1:]):
+            head_weights[0][:, start:stop] = rng.normal(0.0, scale, size=(prev, stop - start))
 
-    def _groups(self, arrays: Sequence[np.ndarray]) -> Tuple[Sequence[np.ndarray], ...]:
+    @staticmethod
+    def layout(
+        input_size: int, hidden_sizes: Sequence[int], head_sizes: Sequence[int]
+    ) -> Tuple[Tuple[int, ...], ...]:
+        """Parameter shapes in :meth:`parameters` order: trunk weights, trunk
+        biases, the heads' weight matrix, the heads' bias."""
+        hidden_sizes = tuple(hidden_sizes)
+        trunk_in = (input_size,) + hidden_sizes[:-1]
+        trunk_out = hidden_sizes[-1] if hidden_sizes else input_size
+        width = sum(head_sizes)
+        return (
+            tuple(zip(trunk_in, hidden_sizes))
+            + tuple((w,) for w in hidden_sizes)
+            + ((trunk_out, width), (width,))
+        )
+
+    @staticmethod
+    def _groups(arrays: Sequence[np.ndarray]) -> Tuple[Sequence[np.ndarray], ...]:
         """``arrays`` (in :meth:`parameters` order) split into trunk weights,
-        trunk biases, head weights and head biases."""
-        t, h = len(self.hidden_sizes), len(self.head_sizes)
-        return arrays[:t], arrays[t : 2 * t], arrays[2 * t : 2 * t + h], arrays[2 * t + h :]
+        trunk biases, the heads' weight and the heads' bias (one-element
+        sequences)."""
+        t = len(arrays) // 2 - 1
+        return arrays[:t], arrays[t : 2 * t], arrays[2 * t : 2 * t + 1], arrays[2 * t + 1 :]
 
     # ------------------------------------------------------------------ #
     # parameter plumbing
     # ------------------------------------------------------------------ #
     def parameters(self) -> ParameterViews:
-        """Parameter arrays (views into one flat buffer, not copies)."""
+        """Parameter arrays (views into the parameter buffer, not copies)."""
         return self._params
 
     def set_parameters(self, params: Sequence[np.ndarray]) -> None:
@@ -178,54 +223,50 @@ class MultiHeadMLP:
     # ------------------------------------------------------------------ #
     # forward / backward
     # ------------------------------------------------------------------ #
-    def forward(self, x: np.ndarray) -> Tuple[List[np.ndarray], dict]:
-        """Run the network; returns per-head outputs and a cache for backward.
+    def forward(self, x: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
+        """Run the network on a batch (or one vector) ``x``, cast to :data:`DTYPE`.
 
-        ``x`` is cast to :data:`DTYPE`, so every output is :data:`DTYPE`.
+        Returns ``out``, every head's outputs side by side
+        (``(n, sum(head_sizes))``, head ``h`` in columns
+        ``head_offsets[h] : head_offsets[h + 1]``), and the activations
+        :meth:`backward` needs.
         """
         x = np.asarray(x, dtype=DTYPE)
         if x.ndim == 1:
             x = x[None, :]
-        trunk_weights, trunk_biases, head_weights, head_biases = self._groups(self._params)
+        trunk_weights, trunk_biases, (W,), (b,) = self._groups(self._params)
         activations = [x]
         h = x
-        for W, b in zip(trunk_weights, trunk_biases):
-            h = np.tanh(h @ W + b)
+        for Wt, bt in zip(trunk_weights, trunk_biases):
+            h = np.tanh(h @ Wt + bt)
             activations.append(h)
-        outputs = [h @ W + b for W, b in zip(head_weights, head_biases)]
-        cache = {"activations": activations}
-        return outputs, cache
+        return h @ W + b, activations
 
-    def backward(self, cache: dict, head_grads: Sequence[np.ndarray]) -> ParameterViews:
-        """Back-propagate per-head output gradients.
-
-        Returns parameter gradients aligned with :meth:`parameters`, as views
-        into one freshly allocated flat buffer (``.flat``).
-        """
-        if len(head_grads) != len(self.head_sizes):
-            raise ValueError("one gradient array per head is required")
-        activations = cache["activations"]
-        trunk_out = activations[-1]
-        trunk_weights, _, head_weights, _ = self._groups(self._params)
-        grads = ParameterViews(np.empty_like(self._params.flat), self.shapes)
-        trunk_w_grads, trunk_b_grads, head_w_grads, head_b_grads = self._groups(grads)
-
-        grad_trunk = np.zeros_like(trunk_out)
-        for grad_out, W, gW, gb in zip(head_grads, head_weights, head_w_grads, head_b_grads):
-            grad_out = np.asarray(grad_out, dtype=DTYPE)
-            np.matmul(trunk_out.T, grad_out, out=gW)
-            np.sum(grad_out, axis=0, out=gb)
-            grad_trunk += grad_out @ W.T
-
-        grad_h = grad_trunk
+    def backward(
+        self,
+        activations: List[np.ndarray],
+        grad_out: np.ndarray,
+        grads: Optional[Sequence[np.ndarray]] = None,
+    ) -> Sequence[np.ndarray]:
+        """Back-propagate ``grad_out``, the gradient of the whole ``out`` of
+        :meth:`forward`, into ``grads`` (arrays aligned with
+        :meth:`parameters`; by default views into one fresh flat buffer, a
+        :class:`ParameterViews`), and return them."""
+        if grads is None:
+            grads = ParameterViews(np.empty(self.size, dtype=DTYPE), self.shapes)
+        grad_out = np.asarray(grad_out, dtype=DTYPE)
+        trunk_weights, _, (W,), _ = self._groups(self._params)
+        trunk_w_grads, trunk_b_grads, (gW,), (gb,) = self._groups(grads)
+        np.matmul(activations[-1].T, grad_out, out=gW)
+        np.add.reduce(grad_out, axis=0, out=gb)
+        grad_h = grad_out @ W.T
         for layer in reversed(range(len(trunk_weights))):
             post = activations[layer + 1]
             pre_grad = grad_h * (1.0 - post * post)  # d tanh
             np.matmul(activations[layer].T, pre_grad, out=trunk_w_grads[layer])
-            np.sum(pre_grad, axis=0, out=trunk_b_grads[layer])
+            np.add.reduce(pre_grad, axis=0, out=trunk_b_grads[layer])
             if layer:  # the input needs no gradient
                 grad_h = pre_grad @ trunk_weights[layer].T
-
         return grads
 
 
@@ -254,38 +295,48 @@ def _flat_buffer(arrays: Sequence[np.ndarray]) -> np.ndarray:
 class Adam:
     """Adam optimiser over one flat parameter buffer (updated in place).
 
-    ``params`` is :meth:`MultiHeadMLP.parameters` (views into the network's
-    buffer) or a list holding one contiguous floating-point array.  The
-    moments, the gradient and every step are in that buffer's own dtype
-    (:data:`DTYPE` for a network).  A step is one pass of in-place ufuncs
-    over the whole buffer, in the order of the per-array textbook update::
+    ``params`` is a :class:`ParameterViews` (e.g.
+    :meth:`MultiHeadMLP.parameters`) or a list holding one contiguous
+    floating-point array.  The moments, the gradient and every step are in
+    that buffer's own dtype (:data:`DTYPE` for a network).  A step is one
+    pass of in-place ufuncs over the whole buffer, in the order of the
+    per-array textbook update::
 
         m = b1 * m + (1 - b1) * g
         v = b2 * v + ((1 - b2) * g) * g
         p -= (lr * (m / (1 - b1**t))) / (sqrt(v / (1 - b2**t)) + eps)
 
-    When ``max_grad_norm`` is set, the gradient is first scaled down to that
-    global L2 norm.  The squared norm is summed per parameter array
-    (``np.add.reduce`` on its slice), and the per-array sums are added with
-    Python's ``sum`` in parameter order, so clipping fires exactly when the
-    per-array formulation does; the scale is a Python float, so it does
-    not promote the gradient.  Only the moments persist between steps;
-    scratch buffers are allocated per step.
+    ``groups`` splits the parameter arrays into consecutive groups (how many
+    arrays each holds; by default one group holds them all), and ``lr`` is
+    one rate or one per group.  When ``max_grad_norm`` is set, each group's
+    gradient is first scaled down to that L2 norm on its own; the norm is
+    one ``np.add.reduce`` over the group's stretch of the buffer, and the
+    scale is a Python float, so it does not promote the gradient.  Only the
+    moments persist between steps; scratch buffers are allocated per step.
     """
 
     def __init__(
         self,
         params: Sequence[np.ndarray],
-        lr: float = 1e-3,
+        lr: float | Sequence[float] = 1e-3,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
         max_grad_norm: Optional[float] = 5.0,
+        groups: Optional[Sequence[int]] = None,
     ):
         self.params = params
         self._flat = _flat_buffer(params)
-        self._bounds = np.cumsum([0] + [np.asarray(p).size for p in params]).tolist()
-        self.lr = float(lr)
+        groups = (len(params),) if groups is None else tuple(int(g) for g in groups)
+        if sum(groups) != len(params) or min(groups) < 1:
+            raise ValueError(f"groups {groups} do not split {len(params)} parameter arrays")
+        rates = (lr,) * len(groups) if np.isscalar(lr) else tuple(lr)
+        if len(rates) != len(groups):
+            raise ValueError("give one learning rate, or one per group")
+        offsets = np.cumsum([0] + [np.asarray(p).size for p in params])
+        bounds = offsets[np.cumsum((0,) + groups)].tolist()
+        #: ``(start, stop, learning rate)`` of each group's stretch of the buffer.
+        self.groups = [(a, b, float(rate)) for a, b, rate in zip(bounds, bounds[1:], rates)]
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
@@ -295,38 +346,45 @@ class Adam:
         self._t = 0
 
     def step(self, grads: Sequence[np.ndarray]) -> None:
+        """One update from ``grads``, arrays aligned with the parameters.
+
+        A :class:`ParameterViews` gradient in the buffer's dtype (the fresh
+        buffer :meth:`MultiHeadMLP.backward` returns) is consumed: it is
+        clipped in place and then reused as scratch, so a step allocates
+        one buffer of its own.  Other gradients are copied first.
+        """
         if len(grads) != len(self.params):
             raise ValueError("gradient list does not match parameter list")
         dtype = self._flat.dtype
-        if isinstance(grads, ParameterViews):
-            grad = np.asarray(grads.flat, dtype=dtype)
+        if isinstance(grads, ParameterViews) and grads.flat.dtype == dtype:
+            grad = grads.flat
         else:
             grad = np.concatenate([np.asarray(g, dtype=dtype).reshape(-1) for g in grads])
         if grad.size != self._flat.size:
             raise ValueError("gradient sizes do not match the parameters")
 
+        scratch = np.empty_like(grad)
         if self.max_grad_norm is not None:
-            squares = grad * grad
-            bounds = self._bounds
-            total = math.sqrt(
-                sum(float(np.add.reduce(squares[a:b])) for a, b in zip(bounds, bounds[1:]))
-            )
-            if total > self.max_grad_norm and total > 0:
-                grad = grad * (self.max_grad_norm / total)
+            limit = self.max_grad_norm
+            np.multiply(grad, grad, out=scratch)
+            for start, stop, _ in self.groups:
+                total = math.sqrt(float(np.add.reduce(scratch[start:stop])))
+                if total > limit and total > 0:
+                    grad[start:stop] *= limit / total
 
         self._t += 1
         m, v = self._m, self._v
-        scratch = np.empty_like(grad)
         m *= self.beta1
         m += np.multiply(grad, 1 - self.beta1, out=scratch)
         v *= self.beta2
         np.multiply(grad, 1 - self.beta2, out=scratch)
         scratch *= grad
         v += scratch
-        step = np.divide(m, 1 - self.beta1 ** self._t, out=scratch)
-        step *= self.lr
-        denom = np.divide(v, 1 - self.beta2 ** self._t)
+        denom = np.divide(v, 1 - self.beta2 ** self._t, out=grad)  # the gradient is spent
         np.sqrt(denom, out=denom)
         denom += self.eps
+        step = np.divide(m, 1 - self.beta1 ** self._t, out=scratch)
+        for start, stop, rate in self.groups:
+            step[start:stop] *= rate
         step /= denom
         self._flat -= step

@@ -1,6 +1,7 @@
 """Unit tests for the PPO agent."""
 
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -22,9 +23,11 @@ class _FixedDraws:
 
     def __init__(self, draws):
         self.draws = draws
+        self.calls = 0
 
     def random(self, size):
         assert size == self.draws.shape
+        self.calls += 1
         return self.draws.copy()
 
 
@@ -60,18 +63,19 @@ class TestActing:
     def test_draw_past_a_rows_total_takes_the_last_action(self, agent, rng):
         """A draw at or above the row's summed probabilities picks the last
         action; every other draw keeps the first action whose cumulative
-        probability exceeds it."""
+        probability exceeds it.  All heads draw in one ``(num_heads, n)`` call."""
         states = _states(8, rng)
         cumulative = [np.cumsum(p, axis=1) for p in agent.policy_distributions(states)]
         top = max(float(c[:, -1].max()) for c in cumulative)
         low = min(float(c[:, -1].min()) for c in cumulative)
-        draws = np.concatenate([np.full(4, top), rng.uniform(0.0, low, size=4)])[:, None]
-        agent._rng = _FixedDraws(draws)
+        draws = np.concatenate([np.full(4, top), rng.uniform(0.0, low, size=4)])
+        agent._rng = _FixedDraws(np.tile(draws, (len(agent.head_sizes), 1)))
 
         actions = agent.act(states).actions
+        assert agent._rng.calls == 1
         for h, (size, cum) in enumerate(zip(agent.head_sizes, cumulative)):
             assert np.array_equal(actions[:4, h], np.full(4, size - 1))
-            assert np.array_equal(actions[4:, h], np.argmax(cum[4:] > draws[4:], axis=1))
+            assert np.array_equal(actions[4:, h], np.argmax(cum[4:] > draws[4:, None], axis=1))
 
     def test_policy_distributions_normalised(self, agent, rng):
         dists = agent.policy_distributions(_states(4, rng))
@@ -157,6 +161,56 @@ class TestLearning:
         assert any(not np.allclose(b, a) for b, a in zip(before, after))
 
 
+def _train_once(agent, rng):
+    states = _states(32, rng, size=agent.feature_size)
+    batch = agent.act(states)
+    rewards = rng.normal(size=32)
+    td, adv = agent.compute_advantage(rewards, batch.values, agent.value(states))
+    agent.store(states, batch.actions, batch.log_probs, rewards, td, adv)
+    agent.update()
+
+
+class TestOneBuffer:
+    """Actor, critic and optimiser are views over one parameter buffer."""
+
+    @staticmethod
+    def _assert_one_buffer(agent):
+        buffer = agent.parameters().buffer
+        actor, critic = agent.actor.parameters(), agent.critic.parameters()
+        assert agent.optimizer._flat is buffer
+        assert actor.buffer is buffer and critic.buffer is buffer
+        assert (actor.offset, critic.offset) == (0, agent.actor.size)
+        assert agent.actor.size + agent.critic.size == buffer.size
+        for got, want in zip(agent.parameters(), tuple(actor) + tuple(critic)):
+            assert got.shape == want.shape and np.shares_memory(got, want)
+            assert np.shares_memory(got, buffer)
+
+    def test_actor_and_critic_share_the_buffer(self, agent, rng):
+        self._assert_one_buffer(agent)
+        before = agent.parameters().flat.copy()
+        _train_once(agent, rng)
+        after = agent.parameters().flat
+        split = agent.actor.size
+        # Both networks trained, through the one optimiser pass per step.
+        assert not np.array_equal(before[:split], after[:split])
+        assert not np.array_equal(before[split:], after[split:])
+        assert agent.optimizer._t == agent.config.ppo_epochs
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))])
+    def test_copies_keep_one_buffer(self, agent, rng, clone):
+        _train_once(agent, rng)
+        copied = clone(agent)
+        self._assert_one_buffer(copied)
+        assert not np.shares_memory(copied.parameters().buffer, agent.parameters().buffer)
+        original = agent.parameters().flat.copy()
+        _train_once(copied, np.random.default_rng(3))
+        # The copy's networks see its own updates; the original is untouched.
+        assert not np.array_equal(copied.parameters().flat, original)
+        assert np.array_equal(agent.parameters().flat, original)
+        states = _states(5, rng)
+        assert np.array_equal(copied.value(states), copied.critic.forward(states)[0][:, 0])
+
+
 class TestFloat32Learner:
     """Every learner array stays float32 whatever dtype comes in.
 
@@ -168,22 +222,23 @@ class TestFloat32Learner:
     @staticmethod
     def _record_gradients(agent):
         seen = []
-        for opt in (agent.actor_opt, agent.critic_opt):
-            def step(grads, _step=opt.step):
-                seen.append([np.array(g) for g in grads] + [grads.flat.copy()])
-                _step(grads)
+        opt = agent.optimizer
 
-            opt.step = step
+        def step(grads, _step=opt.step):
+            seen.append([np.array(g) for g in grads] + [grads.flat.copy()])
+            _step(grads)
+
+        opt.step = step
         return seen
 
     @staticmethod
     def _assert_float32(agent):
-        for net, opt in ((agent.actor, agent.actor_opt), (agent.critic, agent.critic_opt)):
-            params = net.parameters()
+        for params in (agent.parameters(), agent.actor.parameters(), agent.critic.parameters()):
             assert params.flat.dtype == np.float32
             assert all(p.dtype == np.float32 for p in params)
-            for array in (opt._flat, opt._m, opt._v):
-                assert array.dtype == np.float32
+        opt = agent.optimizer
+        for array in (opt._flat, opt._m, opt._v):
+            assert array.dtype == np.float32
         buf = agent.buffer
         for name in ("_states", "_old_log_probs", "_rewards", "_td_targets", "_advantages"):
             assert getattr(buf, name).dtype == np.float32, name
@@ -208,8 +263,7 @@ class TestFloat32Learner:
             td, adv = agent.compute_advantage(rewards, batch.values, next_values)
             agent.store(states, batch.actions, batch.log_probs, rewards, td, adv)
             agent.update()
-        for opt in (agent.actor_opt, agent.critic_opt):
-            del opt.step  # back to Adam.step
+        del agent.optimizer.step  # back to Adam.step
         assert seen
         for grads in seen:
             assert all(g.dtype == np.float32 for g in grads)

@@ -1,13 +1,22 @@
-"""The PPO learner against a per-array reference, bit for bit.
+"""The fused PPO learner against a per-array reference.
 
-``MultiHeadMLP`` keeps its parameters in one flat buffer, ``backward``
-writes into one flat gradient buffer, and ``Adam`` updates the whole buffer
-in a few in-place ufunc calls.  None of that may change a single bit of
-what the agent learns or samples.  The reference here is the plain
-per-array implementation (one float32 array per weight and bias, one Adam
-pass per array, ``softmax`` and ``log_softmax`` computed separately), and
-the tests compare parameters, Adam moments, actions, log-probabilities,
-values and RNG states with ``np.array_equal`` after several updates.
+``PPOAgent`` keeps its actor (every head one block of columns of one weight
+matrix and one bias) and its critic back to back in one float32 buffer,
+computes one softmax per run of equal-width heads, back-propagates into one
+gradient buffer and steps both networks in one ``Adam`` pass.  The
+reference here is the plain per-array implementation: one float32 array per
+weight and bias and per head, one ``Adam`` per network with a per-array
+clip norm, ``softmax`` and ``log_softmax`` computed separately per head.
+
+Where the arithmetic is the reference's, the tests compare with
+``np.array_equal``: the initial parameters, the sampled actions at these
+seeds, the critic values, and the generator and replay RNG states.  Three
+sums run in another order, so the rest is compared after one train step from
+a shared state, within a tolerance fixed in advance (:data:`TOL`): the
+logits are one matmul over every head column (BLAS may order each 64-term
+dot differently), the trunk gradient is one matmul over all 494 head columns
+instead of one per head, and each network's clip norm is one reduction over
+its stretch of the buffer instead of a sum of per-array sums.
 
 The finite-difference tests check the gradients themselves: the actor's
 clipped surrogate plus entropy bonus, and the critic's MSE.  The learner
@@ -21,6 +30,7 @@ import pytest
 
 from repro.core.actor_critic import PPOAgent
 from repro.core.config import HARLConfig
+from repro.core.policy import ParameterViews
 from repro.core.rollout import ReplayBuffer
 from repro.tensor.features import FEATURE_SIZE
 
@@ -153,10 +163,6 @@ class _RefAgent:
             log_probs += logp[np.arange(n), chosen]
         return actions, log_probs, self.value(states)
 
-    def update(self):
-        for _ in range(self.config.ppo_epochs):
-            self._train_step(self.buffer.sample(self.config.minibatch_size))
-
     def _train_step(self, batch):
         cfg = self.config
         states, actions = batch["states"], batch["actions"]
@@ -198,20 +204,113 @@ class _RefAgent:
 
 
 # --------------------------------------------------------------------- #
-# exact equality
+# the agent against the reference
 # --------------------------------------------------------------------- #
-def _assert_same_learner_state(agent, ref):
-    for net, ref_net in ((agent.actor, ref.actor), (agent.critic, ref.critic)):
-        params = net.parameters()
-        assert len(params) == len(ref_net.parameters())
-        for p, q in zip(params, ref_net.parameters()):
-            assert np.array_equal(p, q)
-    for opt, ref_opt in ((agent.actor_opt, ref.actor_opt), (agent.critic_opt, ref.critic_opt)):
-        assert opt._t == ref_opt.t
-        assert np.array_equal(opt._m, np.concatenate([m.ravel() for m in ref_opt.m]))
-        assert np.array_equal(opt._v, np.concatenate([v.ravel() for v in ref_opt.v]))
-    assert agent._rng.bit_generator.state == ref.rng.bit_generator.state
-    assert agent.buffer._rng.bit_generator.state == ref.buffer._rng.bit_generator.state
+#: Relative tolerance of the reordered sums, fixed from float32's 2**-24.  The
+#: longest reordered sum is the trunk gradient's dot over 494 head columns,
+#: at most 494 * 2**-24 ~ 2.9e-5 relative; the Adam moments are linear and
+#: quadratic in the gradient and a step is ~m / sqrt(v), so each is within
+#: about twice that.  2**-12 ~ 2.4e-4 leaves a factor of four or more.
+TOL = 2.0**-12
+#: The parameters are float32: a step that agrees to TOL can still round to
+#: a neighbouring value, up to a few ulps of the largest parameter.
+ULPS = 2.0**-22
+
+
+def _fused(arrays, num_heads):
+    """Per-array layout (trunk weights and biases, then one weight and one
+    bias per head) in the agent's layout: the heads' weights as one matrix
+    and their biases as one vector."""
+    arrays = list(arrays)
+    trunk = len(arrays) - 2 * num_heads
+    weights = arrays[trunk : trunk + num_heads]
+    biases = arrays[trunk + num_heads :]
+    return arrays[:trunk] + [np.concatenate(weights, axis=1), np.concatenate(biases)]
+
+
+def _ref_arrays(ref, pick):
+    """The reference's parameters, moments or gradients in the agent's layout."""
+    out = []
+    for heads, arrays in zip((len(ref.head_sizes), 1), pick(ref)):
+        out += _fused(arrays, heads)
+    return out
+
+
+def _views(agent, flat):
+    return ParameterViews(flat, [p.shape for p in agent.parameters()])
+
+
+def _load_agent_state(ref, agent):
+    """Copy the agent's parameters and Adam state into the reference."""
+    split = len(agent.actor.parameters())
+    opt = agent.optimizer
+    for net, ref_net, ref_opt, part in (
+        (agent.actor, ref.actor, ref.actor_opt, slice(0, split)),
+        (agent.critic, ref.critic, ref.critic_opt, slice(split, None)),
+    ):
+        bounds = net.head_offsets
+        for name, flat in (("params", agent.parameters().flat), ("m", opt._m), ("v", opt._v)):
+            arrays = list(_views(agent, flat)[part])
+            weight, bias = arrays[-2:]
+            arrays = arrays[:-2] + [weight[:, a:b] for a, b in zip(bounds, bounds[1:])]
+            arrays += [bias[a:b] for a, b in zip(bounds, bounds[1:])]
+            if name == "params":
+                for target, source in zip(ref_net.parameters(), arrays):
+                    target[...] = source
+            else:
+                setattr(ref_opt, name, [a.copy() for a in arrays])
+        ref_opt.t = opt._t
+
+
+def _record_grads(step):
+    """Wrap an optimiser's ``step`` so every call's gradients are recorded."""
+    seen = []
+
+    def recording(grads):
+        seen.append([np.array(g, dtype=np.float64) for g in grads])
+        step(grads)
+
+    return seen, recording
+
+
+def _assert_close(got, want, floor=0.0):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert np.max(np.abs(got - want)) <= TOL * np.max(np.abs(want)) + floor
+
+
+def _train_step_in_lockstep(agent, ref):
+    """One train step of both learners from one shared state; compare after it."""
+    _load_agent_state(ref, agent)
+    cfg = agent.config
+    batch = agent.buffer.sample(cfg.minibatch_size)
+    ref_batch = ref.buffer.sample(cfg.minibatch_size)
+    for key in batch:
+        assert np.array_equal(batch[key], ref_batch[key]), key
+    before = [p.astype(np.float64) for p in agent.parameters()]
+
+    agent_grads, agent.optimizer.step = _record_grads(agent.optimizer.step)
+    actor_grads, ref.actor_opt.step = _record_grads(ref.actor_opt.step)
+    critic_grads, ref.critic_opt.step = _record_grads(ref.critic_opt.step)
+    agent._train_step(batch)
+    ref._train_step(ref_batch)
+    for opt in (agent.optimizer, ref.actor_opt, ref.critic_opt):
+        del opt.step
+
+    opt = agent.optimizer
+    assert opt._t == ref.actor_opt.t == ref.critic_opt.t
+    ref_grads = _ref_arrays(ref, lambda r: (actor_grads[0], critic_grads[0]))
+    ref_m = _ref_arrays(ref, lambda r: (r.actor_opt.m, r.critic_opt.m))
+    ref_v = _ref_arrays(ref, lambda r: (r.actor_opt.v, r.critic_opt.v))
+    ref_params = _ref_arrays(ref, lambda r: (r.actor.parameters(), r.critic.parameters()))
+    rows = zip(
+        agent_grads[0], ref_grads, _views(agent, opt._m), ref_m, _views(agent, opt._v), ref_v,
+        agent.parameters(), ref_params, before,
+    )
+    for grad, ref_grad, m, want_m, v, want_v, param, want_param, start in rows:
+        _assert_close(grad, ref_grad)
+        _assert_close(m, want_m)
+        _assert_close(v, want_v)
+        _assert_close(param - start, want_param - start, floor=ULPS * np.max(np.abs(start)))
 
 
 @pytest.mark.parametrize(
@@ -225,7 +324,11 @@ def test_agent_matches_per_array_reference(head_sizes, minibatch):
         config = config.replace(minibatch_size=minibatch)
     agent = PPOAgent(FEATURE_SIZE, head_sizes, config=config, seed=11)
     ref = _RefAgent(FEATURE_SIZE, head_sizes, config, seed=11)
-    _assert_same_learner_state(agent, ref)
+    # The same initial draws, in the same order.
+    initial = _ref_arrays(ref, lambda r: (r.actor.parameters(), r.critic.parameters()))
+    assert len(agent.parameters()) == len(initial)
+    for got, want in zip(agent.parameters(), initial):
+        assert np.array_equal(got, want)
 
     data = np.random.default_rng(5)
     for round_index in range(6):
@@ -237,23 +340,27 @@ def test_agent_matches_per_array_reference(head_sizes, minibatch):
         states = data.normal(size=(24, FEATURE_SIZE))
         next_states = data.normal(size=(24, FEATURE_SIZE))
 
+        _load_agent_state(ref, agent)
         batch = agent.act(states)
         actions, log_probs, values = ref.act(states)
         assert np.array_equal(batch.actions, actions)
-        assert np.array_equal(batch.log_probs, log_probs)
+        np.testing.assert_allclose(batch.log_probs, log_probs, rtol=TOL, atol=TOL)
         assert np.array_equal(batch.values, values)
+        # One draw of (num_heads, n) uniforms consumes the per-head stream.
+        assert agent._rng.bit_generator.state == ref.rng.bit_generator.state
 
         rewards = data.normal(size=24)
         td_targets, advantages = agent.compute_advantage(
             rewards, batch.values, agent.value(next_states)
         )
         td_targets = td_targets * scale
-        agent.store(states, batch.actions, batch.log_probs - shift, rewards, td_targets, advantages)
-        ref.buffer.add(states, actions, log_probs - shift, rewards, td_targets, advantages)
+        stored = (states, batch.actions, batch.log_probs - shift, rewards, td_targets, advantages)
+        agent.store(*stored)
+        ref.buffer.add(*stored)
 
-        agent.update()
-        ref.update()
-        _assert_same_learner_state(agent, ref)
+        for _ in range(config.ppo_epochs):
+            _train_step_in_lockstep(agent, ref)
+        assert agent.buffer._rng.bit_generator.state == ref.buffer._rng.bit_generator.state
 
     for opt in (ref.actor_opt, ref.critic_opt):
         assert opt.clipped > 0 and opt.unclipped > 0, (opt.clipped, opt.unclipped)
@@ -270,12 +377,14 @@ def _capture_grads(opt):
 
 def _forward64(net, params, states):
     """``net``'s forward pass in float64 over ``params``, float64 copies of
-    its parameters (in ``parameters()`` order)."""
-    trunk_weights, trunk_biases, head_weights, head_biases = net._groups(params)
+    its parameters (in ``parameters()`` order); one output per head."""
+    trunk_weights, trunk_biases, (W,), (b,) = net._groups(params)
     h = states.astype(np.float64)
-    for W, b in zip(trunk_weights, trunk_biases):
-        h = np.tanh(h @ W + b)
-    return [h @ W + b for W, b in zip(head_weights, head_biases)]
+    for Wt, bt in zip(trunk_weights, trunk_biases):
+        h = np.tanh(h @ Wt + bt)
+    out = h @ W + b
+    bounds = net.head_offsets
+    return [out[:, a:z] for a, z in zip(bounds, bounds[1:])]
 
 
 def _actor_objective(agent, params, batch, adv):
@@ -302,23 +411,44 @@ def _critic_objective(agent, params, batch):
     return float(agent.config.mse_weight * np.mean((values - td_targets) ** 2))
 
 
+def _fd_coordinates(net):
+    """Coordinates to difference, per parameter array: ``0``, ``size // 3``
+    and ``size - 1`` of every trunk array, and the same three of every
+    head's weight and bias blocks (as if each head were its own array)."""
+    params = net.parameters()
+    trunk = len(params) - 2
+    coords = [
+        [np.unravel_index(c, p.shape) for c in (0, p.size // 3, p.size - 1)]
+        for p in params[:trunk]
+    ]
+    rows = params[trunk].shape[0]
+    weight, bias = [], []
+    bounds = net.head_offsets
+    for start, width in zip(bounds, net.head_sizes):
+        size = rows * width
+        for c in (0, size // 3, size - 1):
+            row, column = divmod(c, width)
+            weight.append((row, start + column))
+        bias += [(start + c,) for c in (0, width // 3, width - 1)]
+    return coords + [weight, bias]
+
+
 def _check_by_finite_differences(net, grads, objective, eps=1e-6):
     """Central differences of ``objective(params)`` over float64 copies of
     ``net``'s float32 parameters, against the float32 ``grads``."""
     params = [p.astype(np.float64) for p in net.parameters()]
     checked = 0
-    for param, grad in zip(params, grads):
+    for param, grad, coords in zip(params, grads, _fd_coordinates(net)):
         assert grad.dtype == np.float32
-        flat, flat_grad = param.reshape(-1), grad.reshape(-1)
-        for coord in (0, flat.size // 3, flat.size - 1):
-            original = flat[coord]
-            flat[coord] = original + eps
+        for coord in coords:
+            original = param[coord]
+            param[coord] = original + eps
             plus = objective(params)
-            flat[coord] = original - eps
+            param[coord] = original - eps
             minus = objective(params)
-            flat[coord] = original
+            param[coord] = original
             numeric = (plus - minus) / (2 * eps)
-            assert flat_grad[coord] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
+            assert grad[coord] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
             checked += 1
     return checked
 
@@ -334,9 +464,10 @@ def _fd_batch(agent, data):
     states = data.normal(size=(n, agent.feature_size)).astype(np.float32)
     actions = agent.act(states).actions
     logits, _ = agent.actor.forward(states)
+    bounds = agent.actor.head_offsets
     logp = sum(
-        _ref_log_softmax(head_logits)[np.arange(n), actions[:, h]]
-        for h, head_logits in enumerate(logits)
+        _ref_log_softmax(logits[:, a:b])[np.arange(n), actions[:, h]]
+        for h, (a, b) in enumerate(zip(bounds, bounds[1:]))
     )
     signs = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0] * (n // 6))
     return {
@@ -362,22 +493,23 @@ def test_actor_gradient_matches_finite_differences():
     unclipped = _FD_RATIOS * adv <= clipped_ratio * adv
     assert unclipped.any() and not unclipped.all()
 
-    captured = _capture_grads(agent.actor_opt)
-    _capture_grads(agent.critic_opt)
+    captured = _capture_grads(agent.optimizer)
     agent._train_step(batch)
+    actor_grads = captured[0][: len(agent.actor.parameters())]
     checked = _check_by_finite_differences(
-        agent.actor, captured[0], lambda params: _actor_objective(agent, params, batch, adv)
+        agent.actor, actor_grads, lambda params: _actor_objective(agent, params, batch, adv)
     )
-    assert checked == 3 * len(agent.actor.parameters())
+    # Three coordinates per trunk array and per head's weight and bias.
+    assert checked == 3 * (2 * len(agent.actor.hidden_sizes) + 2 * len(agent.head_sizes))
 
 
 def test_critic_gradient_matches_finite_differences():
     agent = PPOAgent(FEATURE_SIZE, (17, 5, 5, 5), config=HARLConfig.scaled(), seed=4)
     batch = _fd_batch(agent, np.random.default_rng(10))
-    _capture_grads(agent.actor_opt)
-    captured = _capture_grads(agent.critic_opt)
+    captured = _capture_grads(agent.optimizer)
     agent._train_step(batch)
+    critic_grads = captured[0][len(agent.actor.parameters()) :]
     checked = _check_by_finite_differences(
-        agent.critic, captured[0], lambda params: _critic_objective(agent, params, batch)
+        agent.critic, critic_grads, lambda params: _critic_objective(agent, params, batch)
     )
     assert checked == 3 * len(agent.critic.parameters())
