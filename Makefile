@@ -35,7 +35,9 @@ bench-full:
 	REPRO_FULL=1 $(PYTHON) -m pytest benchmarks -q
 
 ## Fast end-to-end network sanity pass: a 2-subgraph toy network through the
-## shared tuning service (seconds; also a CI job).
+## shared tuning service, and a short-budget TuningDriver.tune_network (the
+## loop behind the paper's figures) for HARL, its greedy ablation and Ansor
+## (seconds; also a CI job).
 network-smoke:
 	$(PYTHON) -m pytest -m network_smoke tests -q
 

@@ -72,7 +72,6 @@ SEED_GUARDS: Tuple[GuardedAttr, ...] = (
     GuardedAttr("RecordStore", "flush_failures", "_lock"),
     # TuningService: job table + stats counters.
     GuardedAttr("TuningService", "_jobs", "_lock"),
-    GuardedAttr("TuningService", "_order", "_lock"),
     GuardedAttr("TuningService", "_transfer_donors", "_lock"),
     GuardedAttr("TuningService", "_warm_start_donors", "_lock"),
     GuardedAttr("TuningService", "jobs_created", "_lock"),

@@ -110,6 +110,22 @@ examples:
 _NETWORK_CHOICES = ("bert", "resnet50", "mobilenet_v2")
 
 
+def positive_int(text: str) -> int:
+    """``--trials``: a measurement-trial budget of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def scale_factor(text: str) -> float:
+    """``--scale``: a ``HARLConfig.scaled`` factor in (0, 1]."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value:g}")
+    return value
+
+
 def _admission_flags(parser: argparse.ArgumentParser) -> None:
     """Admission-control knobs of the network front end (ServerConfig)."""
     grp = parser.add_argument_group("admission control")
@@ -146,9 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--target", default="cpu", metavar="NAME",
                        help="hardware target: a catalog name (see `repro "
                             "targets list`) or the cpu / gpu aliases")
-        p.add_argument("--trials", type=int, default=200)
+        p.add_argument("--trials", type=positive_int, default=200)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--scale", type=float, default=0.25,
+        p.add_argument("--scale", type=scale_factor, default=0.25,
                        help="HARLConfig.scaled factor (1.0 = paper-scale episodes)")
         p.add_argument("--records-out", metavar="FILE", default=None,
                        help="append every measurement to this JSONL record log")

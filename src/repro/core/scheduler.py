@@ -26,7 +26,7 @@ from repro.core.adaptive_stopping import AdaptiveStopper, FixedLengthStopper
 from repro.core.bandit import SlidingWindowUCB
 from repro.core.config import HARLConfig
 from repro.core.parameter_search import ParameterSearcher
-from repro.core.subgraph_reward import GradientTaskScheduler, SubgraphBandit
+from repro.core.subgraph_reward import GradientTaskScheduler, task_policy
 from repro.core.tuner import TuningDriver, WorkloadState
 from repro.hardware.measurer import Measurer
 from repro.hardware.target import HardwareTarget
@@ -178,14 +178,8 @@ class HARLScheduler(TuningDriver):
         }
 
     def _task_policy(self, network: NetworkGraph) -> GradientTaskScheduler:
-        cfg = self.config
-        reward = {"alpha": cfg.alpha, "beta": cfg.beta, "backward_window": cfg.backward_window}
-        if not self.use_subgraph_mab:
-            return GradientTaskScheduler(network, **reward)
         # Ties break on the scheduler's own stream, shared with the sketch bandits.
-        return SubgraphBandit(
-            network, exploration=cfg.ucb_constant, window=cfg.ucb_window, rng=self._rng, **reward
-        )
+        return task_policy(network, self.config, self.use_subgraph_mab, rng=self._rng)
 
     def _network_extras(self, policy: GradientTaskScheduler) -> Dict[str, object]:
         return {

@@ -7,17 +7,19 @@ combines (i) the recent improvement rate of that subgraph and (ii) the
 remaining head-room, estimated both from the optimistic ``g_a / t_a`` bound
 and from the throughput achieved on *similar* subgraphs.
 
-Three task policies allocate a network's tuning rounds with that reward.
-All expose ``next_task()``, ``record()``, ``estimated_latency()`` and
-``allocations``:
+Two task policies allocate a network's tuning rounds with that reward.  Both
+expose ``next_task()``, ``record()``, ``estimated_latency()`` and
+``allocations``, and both warm every untuned candidate up once, in network
+order, before the reward decides:
 
 * :class:`GradientTaskScheduler` — Ansor's greedy argmax (also the
   "HARL w/o subgraph MAB" ablation of Table 4),
 * :class:`SubgraphBandit` — HARL's non-stationary SW-UCB bandit over the
-  reward (Eq. 4); unplayed arms are warmed up in random tie-break order,
-* :class:`BanditTaskScheduler` — the same bandit with the greedy policy's
-  deterministic network-order warm-up, used (with its own seeded RNG) by
-  the end-to-end :class:`~repro.experiments.network_runner.NetworkTuner`.
+  reward (Eq. 4).
+
+:func:`task_policy` builds either from a config; ``HARLScheduler`` and the
+end-to-end :class:`~repro.experiments.network_runner.NetworkTuner` both use
+it.
 """
 
 from __future__ import annotations
@@ -29,15 +31,16 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.bandit import SlidingWindowUCB
+from repro.core.config import HARLConfig
 from repro.networks.graph import NetworkGraph
 
 __all__ = [
-    "BanditTaskScheduler",
     "GradientTaskScheduler",
     "SubgraphBandit",
     "SubgraphState",
     "normalized_rewards",
     "subgraph_reward",
+    "task_policy",
 ]
 
 
@@ -178,8 +181,6 @@ class GradientTaskScheduler:
     (:class:`SubgraphBandit`).
     """
 
-    name = "gradient"
-
     def __init__(
         self,
         network: NetworkGraph,
@@ -223,30 +224,24 @@ class GradientTaskScheduler:
             raise ValueError("next_task needs at least one candidate task")
         return candidates
 
-    def _untuned(self, candidates: Sequence[str]) -> Optional[str]:
-        """First never-tuned candidate: the shared warm-up discipline.
+    def next_task(self, among: Optional[Sequence[str]] = None) -> str:
+        """The task that receives the next tuning round.
 
-        Every candidate gets one round before any reward-driven selection,
-        so every gradient estimate is grounded in a measurement.
+        Every candidate is first warmed up with one round, in network order,
+        so every reward estimate is grounded in a measurement; after that
+        :meth:`_choose` picks.  ``among`` restricts the choice to a subset of
+        task names (used by network drivers to skip tasks whose budget is
+        already settled).
         """
+        candidates = self._candidates(among)
         for name in candidates:
             if self.states[name].rounds == 0:
                 return name
-        return None
+        return self._choose(candidates)
 
-    def next_task(self, among: Optional[Sequence[str]] = None) -> str:
-        """Greedy selection: the task with the largest expected benefit.
-
-        Never-tuned tasks are warmed up first (one round each).  ``among``
-        restricts the choice to a subset of task names (used by network
-        drivers to skip tasks whose budget is already settled).
-        """
-        candidates = self._candidates(among)
-        untuned = self._untuned(candidates)
-        if untuned is not None:
-            return untuned
-        rewards = self.rewards()
-        by_name = dict(zip(self.task_names, rewards))
+    def _choose(self, candidates: Sequence[str]) -> str:
+        """Greedy selection: the tuned candidate with the largest expected benefit."""
+        by_name = dict(zip(self.task_names, self.rewards()))
         return max(candidates, key=lambda name: by_name[name])
 
     def record(self, task_name: str, best_latency: float, trials: int = 0) -> None:
@@ -284,15 +279,12 @@ class GradientTaskScheduler:
 class SubgraphBandit(GradientTaskScheduler):
     """HARL's subgraph-selection policy: SW-UCB over the Eq. 3 reward.
 
-    Shares state and validation with the greedy policy but replaces the
-    deterministic argmax with a non-stationary sliding-window UCB bandit, so
-    task selection keeps exploring as the per-task reward distributions
-    drift during the run (Observation 1 / Eq. 4 of the paper).  Unplayed
-    arms score ``+inf``, so the bandit's random tie-break warms every task
-    up once.  ``rng`` is that tie-break stream.
+    Shares state, validation and the network-order warm-up with the greedy
+    policy but replaces the deterministic argmax with a non-stationary
+    sliding-window UCB bandit, so task selection keeps exploring as the
+    per-task reward distributions drift during the run (Observation 1 /
+    Eq. 4 of the paper).  ``rng`` breaks the bandit's ties.
     """
-
-    name = "subgraph-bandit"
 
     def __init__(
         self,
@@ -310,9 +302,8 @@ class SubgraphBandit(GradientTaskScheduler):
         )
         self._index = {name: i for i, name in enumerate(self.task_names)}
 
-    def next_task(self, among: Optional[Sequence[str]] = None) -> str:
-        arms = None if among is None else [self._index[n] for n in self._candidates(among)]
-        return self.task_names[self.mab.select(among=arms)]
+    def _choose(self, candidates: Sequence[str]) -> str:
+        return self.task_names[self.mab.select(among=[self._index[n] for n in candidates])]
 
     def record(self, task_name: str, best_latency: float, trials: int = 0) -> None:
         super().record(task_name, best_latency, trials=trials)
@@ -320,15 +311,21 @@ class SubgraphBandit(GradientTaskScheduler):
         self.mab.update(arm, float(self.rewards()[arm]))
 
 
-class BanditTaskScheduler(SubgraphBandit):
-    """:class:`SubgraphBandit` with a deterministic network-order warm-up.
+def task_policy(
+    network: NetworkGraph,
+    config: HARLConfig,
+    bandit: bool,
+    rng: Optional[np.random.Generator] = None,
+) -> GradientTaskScheduler:
+    """The task policy of ``network`` under ``config``'s reward and bandit settings.
 
-    Every candidate is grounded in one round, in network order, before the
-    bandit takes over — the greedy policy's warm-up discipline.
+    ``bandit`` selects HARL's :class:`SubgraphBandit` (its ties broken by
+    ``rng``) over Ansor's greedy :class:`GradientTaskScheduler`.
     """
-
-    name = "bandit"
-
-    def next_task(self, among: Optional[Sequence[str]] = None) -> str:
-        untuned = self._untuned(self._candidates(among))
-        return untuned if untuned is not None else super().next_task(among)
+    reward = {"alpha": config.alpha, "beta": config.beta,
+              "backward_window": config.backward_window}
+    if not bandit:
+        return GradientTaskScheduler(network, **reward)
+    return SubgraphBandit(
+        network, exploration=config.ucb_constant, window=config.ucb_window, rng=rng, **reward
+    )

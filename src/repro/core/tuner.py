@@ -12,7 +12,8 @@ greedy Eq. 3 argmax), sketch selection and schedule search.
   :meth:`~TuningDriver.tune_round` / :meth:`~TuningDriver.finalize` pair
   the tuning service drives, result construction and persistence, and
 * :meth:`~TuningDriver.tune_network`, one allocation loop over a task
-  policy from :mod:`repro.core.subgraph_reward`.
+  policy from :mod:`repro.core.subgraph_reward`, with a fair-share cap on
+  every subgraph's first round.
 
 A scheduler supplies its search round (``_search_round``), its result
 extras and, for network tuning, its task policy.
@@ -333,7 +334,12 @@ class TuningDriver:
 
         Each round, the task policy picks one subgraph and that subgraph
         runs one :meth:`tune_round`; the policy then records the subgraph's
-        best latency and the trials spent.
+        best latency and the trials spent.  The policy warms every subgraph
+        up once, in network order, and each subgraph's first round is capped
+        at a fair share of the budget, ``n_trials // len(network)``: a
+        config whose rounds measure more than that would otherwise spend
+        the budget before the warm-up reaches every subgraph, leaving f(S)
+        infinite.
         """
         policy = self._task_policy(network)
         if n_trials < 1:
@@ -342,11 +348,14 @@ class TuningDriver:
             self._workload(sg.dag)  # replay and warm-start queue, in network order
         latency_history: List[Tuple[int, float]] = []
         start_trials = self.measurer.total_trials
+        fair_share = max(1, n_trials // len(network))
         while self.measurer.total_trials - start_trials < n_trials:
             task = policy.next_task()
             dag = network.subgraph(task).dag
-            remaining = n_trials - (self.measurer.total_trials - start_trials)
-            spent = self.tune_round(dag, max_measures=remaining)
+            cap = n_trials - (self.measurer.total_trials - start_trials)
+            if policy.states[task].rounds == 0:
+                cap = min(cap, fair_share)
+            spent = self.tune_round(dag, max_measures=cap)
             policy.record(task, self.measurer.best_latency(dag.name), spent)
             latency_history.append(
                 (self.measurer.total_trials - start_trials, policy.estimated_latency())

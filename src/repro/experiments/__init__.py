@@ -17,7 +17,6 @@ from repro.experiments.runner import (
     compare_on_network,
 )
 from repro.experiments.network_runner import (
-    BanditTaskScheduler,
     NetworkTuner,
     NetworkTuningReport,
     TaskReport,
@@ -34,7 +33,6 @@ from repro.experiments.sweep import (
 )
 
 __all__ = [
-    "BanditTaskScheduler",
     "NetworkSweepCell",
     "NetworkSweepReport",
     "NetworkTuner",

@@ -13,21 +13,22 @@ has into that system:
   including subgraphs tuned for *other networks* on the same registry
   (MobileNet's convolutions borrow from ResNet's) and, via the target
   catalog, from other devices;
-* each measurement round is allocated to one task by a pluggable policy
-  from :mod:`repro.core.subgraph_reward` — the greedy Eq. 3
+* each measurement round is allocated to one task by a policy from
+  :mod:`repro.core.subgraph_reward`, built by the same
+  :func:`~repro.core.subgraph_reward.task_policy` as
+  ``HARLScheduler.tune_network``'s — HARL's non-stationary SW-UCB bandit
+  (:class:`~repro.core.subgraph_reward.SubgraphBandit`) or the greedy Eq. 3
   :class:`~repro.core.subgraph_reward.GradientTaskScheduler` (Ansor's
-  strategy) or HARL's non-stationary SW-UCB bandit
-  (:class:`~repro.core.subgraph_reward.BanditTaskScheduler`, which warms
-  tasks up in network order), the same policy family that
-  ``HARLScheduler.tune_network`` and ``AnsorScheduler.tune_network`` use;
+  strategy); both warm tasks up in network order, and each task's first
+  round is capped at a fair share of the budget;
 * the outcome is a :class:`NetworkTuningReport`: the ``f(S)`` trajectory,
   the per-task allocation table and the registry / warm-start provenance of
   every task.
 
 The tuner *drives* the service round by round through
 :meth:`~repro.serving.service.TuningService.advance` instead of delegating to
-``TuningService.run``, because end-to-end tuning needs the network's weights
-``w_n`` — not the number of waiting tenants — to steer the budget.
+``TuningService.run``, which tunes one job at a time, oldest first: end-to-end
+tuning needs the network's weights ``w_n`` to steer the budget.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.subgraph_reward import BanditTaskScheduler, GradientTaskScheduler
+from repro.core.subgraph_reward import task_policy
 from repro.experiments.reporting import format_table
 from repro.networks.graph import NetworkGraph
 from repro.serving.service import (
@@ -50,38 +51,7 @@ from repro.serving.service import (
     TuningService,
 )
 
-__all__ = [
-    "BanditTaskScheduler",
-    "NetworkTuner",
-    "NetworkTuningReport",
-    "TaskReport",
-    "make_task_policy",
-]
-
-
-def make_task_policy(
-    policy: str,
-    network: NetworkGraph,
-    config,
-    seed: int = 0,
-):
-    """Build a task-allocation policy by name (``"gradient"`` or ``"bandit"``).
-
-    The bandit breaks ties with its own ``default_rng(seed)``.
-    """
-    reward = {"alpha": config.alpha, "beta": config.beta,
-              "backward_window": config.backward_window}
-    if policy == "gradient":
-        return GradientTaskScheduler(network, **reward)
-    if policy == "bandit":
-        return BanditTaskScheduler(
-            network,
-            exploration=config.ucb_constant,
-            window=config.ucb_window,
-            rng=np.random.default_rng(seed),
-            **reward,
-        )
-    raise KeyError(f"unknown task policy {policy!r}; known: bandit, gradient")
+__all__ = ["NetworkTuner", "NetworkTuningReport", "TaskReport"]
 
 
 @dataclass(frozen=True)
@@ -242,10 +212,10 @@ class NetworkTuner:
         cross-network reuse: tasks already registered are O(1) hits, novel
         tasks warm-start from their nearest registered relatives.
     policy:
-        Task-allocation policy: ``"bandit"`` (HARL's SW-UCB, the default),
-        ``"gradient"`` (Ansor's greedy Eq. 3 argmax) or a ready-made policy
-        object exposing ``next_task(among=...)`` / ``record`` /
-        ``estimated_latency`` / ``allocations``.
+        Task-allocation policy: ``"bandit"`` (HARL's SW-UCB, the default,
+        breaking ties with ``default_rng(service.seed)``) or ``"gradient"``
+        (Ansor's greedy Eq. 3 argmax); any other name raises
+        :class:`KeyError`.
     scheduler:
         Per-task search scheduler the service should run (``"harl"``,
         ``"hierarchical-rl"`` or ``"ansor"``).
@@ -258,21 +228,21 @@ class NetworkTuner:
         self,
         network: NetworkGraph,
         service: TuningService,
-        policy: Union[str, object] = "bandit",
+        policy: str = "bandit",
         scheduler: str = "harl",
         force_tune: bool = False,
     ):
+        if policy not in ("bandit", "gradient"):
+            raise KeyError(f"unknown task policy {policy!r}; known: bandit, gradient")
         self.network = network
         self.service = service
         self.scheduler = scheduler
         self.force_tune = bool(force_tune)
-        if isinstance(policy, str):
-            self.policy = make_task_policy(
-                policy, network, service.config, seed=service.seed
-            )
-        else:
-            self.policy = policy
-        self.policy_name = getattr(self.policy, "name", type(self.policy).__name__)
+        self.policy_name = policy
+        self.policy = task_policy(
+            network, service.config, policy == "bandit",
+            rng=np.random.default_rng(service.seed),
+        )
 
     # ------------------------------------------------------------------ #
     def tune(self, n_trials: int) -> NetworkTuningReport:
@@ -320,7 +290,6 @@ class NetworkTuner:
         # n_trials / #tasks measures would otherwise exhaust the budget
         # before the warm-up pass reaches every task, leaving f(S) infinite.
         fair_share = max(1, n_trials // max(len(live), 1))
-        rounds_given = {name: 0 for name in live}
         # Zero-trial baseline: with a warm registry f(S) may already be
         # finite before any round, and trials_to_reach must see that.
         trajectory.append((0, current_f()))
@@ -328,11 +297,10 @@ class NetworkTuner:
             task = policy.next_task(among=live)
             handle = handles[task]
             cap = n_trials - spent_total
-            if rounds_given[task] == 0:
+            if policy.states[task].rounds == 0:
                 cap = min(cap, fair_share)
             spent = service.advance(handle, max_measures=cap)
             spent_total += spent
-            rounds_given[task] += 1
             policy.record(task, service.current_latency(handle), trials=spent)
             trajectory.append((spent_total, current_f()))
             # A finished job resolves every coalesced sibling handle too, so
@@ -352,7 +320,7 @@ class NetworkTuner:
         trajectory: List[Tuple[int, float]],
     ) -> NetworkTuningReport:
         tasks: List[TaskReport] = []
-        allocations = getattr(self.policy, "allocations", {})
+        allocations = self.policy.allocations
         for sg in self.network:
             handle = handles[sg.name]
             result = handle.result
@@ -377,7 +345,7 @@ class NetworkTuner:
                     task=sg.name,
                     workload=sg.dag.name,
                     weight=sg.weight,
-                    trials=int(allocations.get(sg.name, 0)),
+                    trials=int(allocations[sg.name]),
                     best_latency=float(result.best_latency) if result else float("inf"),
                     source=handle.source,
                     provenance=provenance,

@@ -14,7 +14,8 @@ line ``{"id": ..., "ok": bool, "degraded": bool, "result": ...}`` (or
 
 ``tune``
     ``params = {"op", "batch", "trials", "tenant", "force_tune"}`` — the
-    operator classes of :data:`~repro.experiments.operator_suite.OPERATOR_CLASSES`.
+    operator classes of :data:`~repro.experiments.operator_suite.OPERATOR_CLASSES`;
+    ``trials`` below 1 is answered ``bad_request`` before admission.
     Answered with the workload's best latency/throughput, trials consumed
     and result source (``registry-hit`` / ``scheduled`` / ``coalesced``).
 ``query``
@@ -374,6 +375,10 @@ class ServingServer:
         try:
             dag = self._dag_of(params)
             trials = int(params.get("trials", 16))
+            if trials < 1:
+                # A negative reservation would never settle and would hand
+                # the tenant extra quota.
+                raise ValueError(f"trials must be at least 1, got {trials}")
             tenant = str(params.get("tenant", "default"))
             force_tune = bool(params.get("force_tune", False))
         except (KeyError, TypeError, ValueError) as exc:

@@ -8,19 +8,19 @@ tenants) and get back a :class:`JobHandle` immediately.  The service then
   is already in the :class:`~repro.serving.registry.ScheduleRegistry` gets
   the stored best schedule back without consuming a single measurement trial,
 * **coalesces** duplicate in-flight requests — N concurrent submissions of
-  structurally identical workloads share one tuning job (the duplicates'
-  tenants just add weight to the job's budget priority),
-* **allocates each round's measurement budget** across the active jobs with
-  the same gradient estimator that drives Ansor's task scheduler and HARL's
-  subgraph bandit (:func:`~repro.core.subgraph_reward.normalized_rewards`),
+  structurally identical workloads share one tuning job, whose budget grows
+  to the largest request's,
 * **streams every outcome** into the registry (and an optional
   :class:`~repro.records.RecordStore`), so completed jobs warm-start future
   requests across process boundaries.
 
 Submission is thread-safe; the search itself is driven cooperatively by
 :meth:`TuningService.run` (or :meth:`process`, which submits a batch and
-runs it to completion), which keeps results bit-deterministic for a fixed
-seed regardless of how many clients submitted.
+runs it to completion), which tunes the oldest in-flight job to completion
+before it starts the next, so results are bit-deterministic for a fixed
+seed regardless of how many clients submitted.  Drivers that allocate
+rounds themselves (the end-to-end network tuner, the network front end)
+call :meth:`TuningService.advance` and :meth:`TuningService.finish`.
 """
 
 from __future__ import annotations
@@ -30,12 +30,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.baselines import make_scheduler
 from repro.caching import cached_lowering
 from repro.core.config import HARLConfig
-from repro.core.subgraph_reward import SubgraphState, normalized_rewards
 from repro.core.tuner import TuningResult
 from repro.faults.plan import InjectedCrash, poll as poll_fault
 from repro.hardware.target import HardwareTarget, cpu_target
@@ -120,21 +117,11 @@ class _Job:
         self.finished = False  # guarded-by: drive_lock
         self.handles: List[JobHandle] = []
         self.tenants: List[str] = []
-        self.state = SubgraphState(
-            name=key[0][:12],
-            weight=1.0,
-            flops=request.dag.flops,
-            # Empty group (untagged workload) matches nothing in the Eq. 3
-            # reward, so unrelated untagged jobs never share throughput.
-            similarity_group=str(request.dag.tags.get("op") or ""),
-        )
 
     def attach(self, handle: JobHandle, request: TuningRequest) -> None:
         self.handles.append(handle)
         self.tenants.append(request.tenant)
-        # A coalesced duplicate raises the job's weight (more tenants are
-        # waiting on it) and can only extend, never shrink, its budget.
-        self.state.weight = float(len(self.handles))
+        # A coalesced duplicate can only extend, never shrink, the budget.
         self.n_trials = max(self.n_trials, int(request.n_trials))
 
 
@@ -190,8 +177,8 @@ class TuningService:
         self.max_warm_start = int(max_warm_start)
         self.catalog = catalog
         self._lock = threading.Lock()
+        # In submission order: run() drives the oldest job first.
         self._jobs: Dict[Tuple[str, str], _Job] = {}  # guarded-by: _lock
-        self._order: List[Tuple[str, str]] = []  # guarded-by: _lock (FIFO tie-break)
         self._transfer_donors: Dict[str, List[str]] = {}  # guarded-by: _lock
         self._warm_start_donors: Dict[str, List[str]] = {}  # guarded-by: _lock
         self.jobs_created = 0  # guarded-by: _lock
@@ -316,7 +303,6 @@ class TuningService:
             )
             job.attach(handle, request)
             self._jobs[key] = job
-            self._order.append(key)
             return handle
 
     def active_jobs(self) -> int:
@@ -327,39 +313,23 @@ class TuningService:
     # ------------------------------------------------------------------ #
     # driving the search
     # ------------------------------------------------------------------ #
-    def _select_job(self, jobs: Sequence[_Job]) -> _Job:
-        """Gradient/bandit budget allocation across active jobs.
-
-        Never-tuned jobs warm up first (their reward is +inf-normalised to
-        1.0); afterwards the job with the largest expected benefit — Ansor's
-        Eq. 3 gradient estimate, weighted by the number of waiting tenants —
-        receives the next measurement round.
-        """
-        rewards = normalized_rewards(
-            [job.state for job in jobs],
-            alpha=self.config.alpha,
-            beta=self.config.beta,
-            backward_window=self.config.backward_window,
-        )
-        return jobs[int(np.argmax(rewards))]
-
-    def run(self, max_rounds: Optional[int] = None) -> int:
+    def run(self) -> int:
         """Drive all in-flight jobs to completion; returns rounds executed.
 
-        Each round the budget allocator picks one job, that job's scheduler
-        runs one tuning round (bounded by the job's remaining trial budget),
-        and finished jobs are flushed to the registry and their handles.
+        Each round goes to the oldest in-flight job, whose scheduler runs one
+        tuning round (bounded by the job's remaining trial budget), so a job
+        runs to completion before the next one starts.  Finished jobs are
+        flushed to the registry and their handles, and jobs submitted
+        meanwhile are picked up in turn.
         """
         rounds = 0
-        while max_rounds is None or rounds < max_rounds:
+        while True:
             with self._lock:
-                jobs = [self._jobs[key] for key in self._order if key in self._jobs]
-            if not jobs:
-                break
-            job = self._select_job(jobs)
+                job = next(iter(self._jobs.values()), None)
+            if job is None:
+                return rounds
             self._drive_round(job)
             rounds += 1
-        return rounds
 
     def _drive_round(self, job: _Job, max_measures: Optional[int] = None) -> int:
         """Run one tuning round on ``job``; returns the trials consumed.
@@ -409,7 +379,6 @@ class TuningService:
                     self._abort_job_locked(job, exc)
                     raise
                 job.trials_used += spent
-                job.state.record(job.scheduler.measurer.best_latency(job.dag.name))
                 round_span.annotate(trials=spent)
                 fired = poll_fault("service.advance", detail=job.key[0][:12])
                 if fired is not None:
@@ -456,7 +425,6 @@ class TuningService:
         job.finished = True
         with self._lock:
             self._jobs.pop(job.key, None)
-            self._order = [key for key in self._order if key != job.key]
             self.aborted_jobs += 1
         _JOBS_ABORTED.inc()
         trace_event(
@@ -549,9 +517,6 @@ class TuningService:
         )
         with self._lock:
             self._jobs.pop(job.key, None)
-            # Prune the FIFO too: a later force_tune resubmission of the same
-            # key must not appear twice in the allocation snapshot.
-            self._order = [key for key in self._order if key != job.key]
         for handle in job.handles:
             handle._finish(result)
 
@@ -568,7 +533,7 @@ class TuningService:
         This is the hook for drivers that own the budget-allocation policy
         themselves (the end-to-end ``NetworkTuner`` allocates rounds across a
         network's subgraphs with the Eq. 3 gradient or the HARL bandit)
-        instead of delegating to :meth:`run`.  Returns the
+        instead of delegating to :meth:`run`, which tunes the oldest job.  Returns the
         measurement trials consumed — 0 when the handle is already done
         (registry hit, or its job finished through a coalesced sibling), or
         when ``max_measures=0`` (a budget probe — the job stays active).

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.baselines import make_scheduler
+from repro.core.config import HARLConfig
 from repro.core.scheduler import HARLScheduler
 from repro.networks.graph import NetworkGraph, Subgraph
-from repro.tensor.workloads import gemm, softmax
+from repro.tensor.workloads import conv1d, gemm, softmax
 
 
 @pytest.fixture
@@ -113,3 +115,28 @@ class TestNetworkTuning:
             for name, res in result.task_results.items()
         )
         assert result.best_latency == pytest.approx(manual, rel=0.3)
+
+    @pytest.mark.network_smoke
+    @pytest.mark.parametrize("name", ["harl", "harl-no-subgraph-mab", "ansor"])
+    def test_first_rounds_take_a_fair_share_of_a_short_budget(self, cpu, name):
+        """A 16-measure round would spend 30 trials on two of six subgraphs
+        and leave f(S) infinite; capped at 30 // 6 trials, every first round
+        fits in the budget."""
+        network = NetworkGraph(
+            name="six",
+            subgraphs=[
+                Subgraph(f"mm{n}", gemm(n, n, n, name=f"six_mm{n}"), weight=1,
+                         similarity_group="gemm")
+                for n in (32, 48, 64)
+            ] + [
+                Subgraph("c1d", conv1d(32, 16, 32, 3, 1, 1, name="six_c1d"), weight=2),
+                Subgraph("sm", softmax(64, 64, name="six_sm"), weight=2),
+                Subgraph("sm_wide", softmax(64, 128, name="six_sm_wide"), weight=1),
+            ],
+        )
+        config = HARLConfig.scaled(0.25)
+        assert config.measures_per_round * 2 >= 30
+        result = make_scheduler(name, cpu, config, seed=0).tune_network(network, 30)
+        assert result.trials_used == 30
+        assert result.allocations == {sg.name: 5 for sg in network}
+        assert np.isfinite(result.best_latency)

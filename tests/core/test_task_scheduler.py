@@ -1,9 +1,9 @@
-"""Unit tests for the greedy gradient task scheduler."""
+"""Unit tests for the task policies: the greedy gradient scheduler and the bandit."""
 
 import numpy as np
 import pytest
 
-from repro.core.subgraph_reward import GradientTaskScheduler
+from repro.core.subgraph_reward import GradientTaskScheduler, SubgraphBandit
 from repro.networks.graph import NetworkGraph, Subgraph
 from repro.tensor.workloads import gemm, softmax
 
@@ -138,3 +138,31 @@ class TestGradientTaskScheduler:
             ts.record(task, 1.0, trials=4)
         first = ts.next_task()
         assert all(ts.next_task() == first for _ in range(10))
+
+
+class TestWarmUp:
+    """Both policies warm every candidate up once, in network order; only
+    then does the bandit's SW-UCB (or the greedy argmax) choose."""
+
+    @pytest.mark.parametrize("among, order", [
+        (None, ["heavy", "light", "soft"]),
+        (["soft", "light"], ["light", "soft"]),
+    ])
+    def test_policies_warm_up_in_network_order(self, network, among, order):
+        rng = np.random.default_rng(0)
+        greedy, bandit = GradientTaskScheduler(network), SubgraphBandit(network, rng=rng)
+        before = rng.bit_generator.state
+        for latency, expected in zip((3.0, 2.0, 1.0), order):
+            for policy in (greedy, bandit):
+                assert policy.next_task(among=among) == expected
+                policy.record(expected, latency, trials=4)
+        # The warm-up drew no tie-break from the bandit's stream...
+        assert rng.bit_generator.state == before
+        # ...and the first choice after it is the bandit's SW-UCB pick.
+        scores = bandit.mab.ucb_scores()
+        best = max(scores[bandit._index[name]] for name in order)
+        pick = bandit.next_task(among=among)
+        assert pick in order and scores[bandit._index[pick]] == best
+        if among is not None:
+            # A candidate left out of the warm-up is still warmed up first.
+            assert bandit.next_task(among=["heavy", *among]) == "heavy"

@@ -16,11 +16,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.experiments.network_runner import (
-    BanditTaskScheduler,
-    NetworkTuner,
-    make_task_policy,
-)
+from repro.core.subgraph_reward import task_policy
+from repro.experiments.network_runner import NetworkTuner
 from repro.networks.graph import NetworkGraph, Subgraph
 from repro.serving.registry import ScheduleRegistry
 from repro.serving.service import SOURCE_REGISTRY, TuningService
@@ -107,8 +104,7 @@ class TestPolicies:
                          policy="round-robin")
 
     def test_bandit_policy_warms_up_then_explores(self, tiny_config):
-        policy = make_task_policy("bandit", toy_network(), tiny_config, seed=0)
-        assert isinstance(policy, BanditTaskScheduler)
+        policy = task_policy(toy_network(), tiny_config, bandit=True)
         first, second = policy.next_task(), None
         policy.record(first, 1.0, trials=4)
         second = policy.next_task()
@@ -119,7 +115,7 @@ class TestPolicies:
             policy.next_task(among=[])
 
     def test_policies_share_validation(self, tiny_config):
-        policy = make_task_policy("bandit", toy_network(), tiny_config)
+        policy = task_policy(toy_network(), tiny_config, bandit=True)
         with pytest.raises(ValueError):
             policy.record("mm", 0.0)
         with pytest.raises(KeyError):

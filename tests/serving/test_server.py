@@ -170,6 +170,18 @@ class TestAdmissionControl:
                 assert other.ok
             assert server.quota_rejected == 1
 
+    def test_trials_below_one_are_bad_requests_before_the_quota(self, tiny_config):
+        # A negative reservation is never settled, so it used to hand the
+        # tenant extra quota.
+        with ServingServer(_service(tiny_config), ServerConfig(quota=20)) as server:
+            with TuningClient(server.host, server.port, timeout=30.0) as cli:
+                for trials in (-1000, 0):
+                    reply = cli.tune("GEMM-S", trials=trials)
+                    assert not reply.ok and reply.error_code == "bad_request"
+                assert cli.tune("GEMM-S", trials=16).ok
+                over = cli.tune("GEMM-M", trials=16)
+                assert not over.ok and over.error_code == "quota_exceeded"
+
 
 class TestDegradedMode:
     def test_saturated_server_answers_registry_only(self, tiny_config):

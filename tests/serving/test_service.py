@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.core.scheduler import HARLScheduler
+from repro.core.tuner import TuningDriver
 from repro.baselines.ansor import AnsorConfig, AnsorScheduler
 from repro.hardware.measurer import Measurer
 from repro.serving.registry import ScheduleRegistry
@@ -118,16 +119,16 @@ class TestRegistryFastPath:
         assert forced.result.trials_used >= 8
 
     def test_force_tune_resubmission_does_not_duplicate_allocation(self, service):
-        # Finish a job, then force_tune the same workload: the allocation
-        # FIFO must hold the recreated key exactly once.
+        # Finish a job, then force_tune the same workload: the job table
+        # holds the recreated key exactly once.
         service.process([TuningRequest(dag=gemm(64, 64, 64), n_trials=4)])
-        assert service._order == []
+        assert service._jobs == {}
         forced = service.submit(TuningRequest(dag=gemm(64, 64, 64), n_trials=4,
                                               force_tune=True))
-        assert len(service._order) == 1
+        assert len(service._jobs) == 1
         service.run()
         assert forced.done
-        assert service._order == []
+        assert service._jobs == {}
 
     def test_malformed_registry_schedule_still_answers(self, service):
         from dataclasses import replace
@@ -170,6 +171,26 @@ class TestBudgetAllocation:
             assert handle.done
             assert handle.result.trials_used >= handle.request.n_trials
         assert service.active_jobs() == 0
+
+    def test_run_tunes_jobs_to_completion_in_submission_order(self, tiny_config, monkeypatch):
+        rounds = []
+        tune_round = TuningDriver.tune_round
+
+        def logged(scheduler, dag, max_measures=None):
+            rounds.append(dag.name)
+            return tune_round(scheduler, dag, max_measures=max_measures)
+
+        monkeypatch.setattr(TuningDriver, "tune_round", logged)
+        service = TuningService(registry=ScheduleRegistry(), config=tiny_config, seed=0)
+        dags = [gemm(64, 64, 64), gemm(96, 96, 96), gemm(128, 128, 128)]
+        handles = service.process([TuningRequest(dag=dag, n_trials=12) for dag in dags])
+        names = [dag.name for dag in dags]
+        # Every job runs all of its rounds before the next job's first.
+        assert len(rounds) > len(names)
+        assert [name for i, name in enumerate(rounds) if i == 0 or rounds[i - 1] != name] == names
+        # So each later job warm-starts from every job submitted before it.
+        for i, handle in enumerate(handles):
+            assert sorted(handle.result.extras.get("warm_start_donors", [])) == sorted(names[:i])
 
 
 class TestExternalRoundDriving:

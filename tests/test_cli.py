@@ -25,6 +25,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["tune-op", "--op", "GEMM-XL"])
 
+    @pytest.mark.parametrize("flag", [("--trials", "0"), ("--scale", "0"), ("--scale", "1.5")])
+    @pytest.mark.parametrize("command", [
+        ["tune-op"], ["tune-network"], ["network", "tune"], ["compare"],
+        ["serve"], ["sweep"], ["metrics"], ["trace"],
+    ])
+    def test_out_of_range_trials_and_scale_are_usage_errors(self, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, *flag])
+        assert exc.value.code == 2
+
 
 class TestCommands:
     def test_tune_op_harl(self, capsys):
