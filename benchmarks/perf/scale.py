@@ -1,15 +1,15 @@
 #!/usr/bin/env python
 """Million-entry registry scale benchmark (``make perf-scale``).
 
-Synthesises a v1-format (no manifest, no sidecars) registry directory with
-``--entries`` entries spread over ``--shards`` shard files and ``--targets``
-hardware targets, then times the two costs the shard-format v2 redesign
-attacks:
+Synthesises a v1-format (plain JSONL shards, no manifest) registry
+directory with ``--entries`` entries spread over ``--shards`` shard files and
+``--targets`` hardware targets, then times the two costs the shard-format v2
+redesign attacks:
 
 * **startup-to-first-hit** — construct a :class:`ScheduleRegistry` over the
   directory and answer one exact ``lookup(..., k=0)``.  The v1 layout forces
   a full parse of every shard; the v2 layout (produced in place by
-  ``compact()``) reads the manifest plus one index sidecar.
+  ``compact()``) reads the manifest and scans only the key's home shard.
 * **batched nearest-neighbour scoring** — steady-state ``lookup(dag, target,
   k=8)`` over the per-target embedding matrix, vectorised vs. a harness-local
   loop that scores the synthesised embeddings one entry at a time.
@@ -66,7 +66,7 @@ QUERY_TARGET = "sim-cpu"
 def synthesise_v1(
     root: Path, entries: int, shards: int, targets: int, seed: int
 ) -> Tuple[str, List[Tuple[str, np.ndarray]]]:
-    """Write a v1-layout registry (plain JSONL shards, no manifest/sidecars).
+    """Write a v1-layout registry (plain JSONL shards, no manifest).
 
     Returns the fingerprint of the entry used for the exact-lookup probes
     (chosen so it lives on ``{QUERY_TARGET}``) and the ``(fingerprint,

@@ -1,14 +1,18 @@
 """Guarded-attribute registry for the lock-discipline checker.
 
 An attribute is *guarded* when concurrent readers/writers must hold a
-specific lock to touch it.  The registry is seeded with the repo's known
-shared-state classes (:class:`~repro.serving.registry.ScheduleRegistry`,
-:class:`~repro.records.RecordStore`, :class:`~repro.serving.service.TuningService`,
-the per-job drive lock, :class:`~repro.faults.plan.FaultPlan`) and extended
-in-source via ``# guarded-by: <lock>`` comments on the line that first
-assigns the attribute in ``__init__``::
+specific lock to touch it.  Guards are declared in the source, by a
+``# guarded-by: <lock>`` comment on the line that first assigns the
+attribute in ``__init__``::
 
     self._best = {}          # guarded-by: _mutex
+
+That comment is the one place a ``self``-mode guard is declared
+(:class:`~repro.serving.registry.ScheduleRegistry`,
+:class:`~repro.records.RecordStore`, :class:`~repro.serving.service.TuningService`
+and :class:`~repro.faults.plan.FaultPlan` carry them).  :data:`SEED_GUARDS`
+holds only what a comment cannot express: the ``receiver``-mode rows of the
+per-job drive lock.
 
 Two checking modes exist:
 
@@ -45,47 +49,14 @@ class GuardedAttr:
     module: str = ""  # for receiver mode: only check inside this path suffix
 
 
-#: The repo's known shared-state invariants.  Keep this table in sync with the
-#: ``# guarded-by:`` annotations in the source files; the checker unions both.
+#: Guards a ``# guarded-by:`` comment cannot declare; the checker adds every
+#: annotated attribute to these.
 SEED_GUARDS: Tuple[GuardedAttr, ...] = (
-    # ScheduleRegistry: every structure the reader/writer paths share —
-    # the lazy shard index, the materialised-entry cache, per-file states,
-    # the shard-handle LRU, the per-target embedding matrices and the
-    # layout/laziness flags.
-    GuardedAttr("ScheduleRegistry", "_best", "_mutex"),
-    GuardedAttr("ScheduleRegistry", "_index", "_mutex"),
-    GuardedAttr("ScheduleRegistry", "_files", "_mutex"),
-    GuardedAttr("ScheduleRegistry", "_targets", "_mutex"),
-    GuardedAttr("ScheduleRegistry", "_matrices", "_mutex"),
-    GuardedAttr("ScheduleRegistry", "_all_indexed", "_mutex"),
-    GuardedAttr("ScheduleRegistry", "_native", "_mutex"),
-    GuardedAttr("ScheduleRegistry", "_manifest_ok", "_mutex"),
-    GuardedAttr("ScheduleRegistry", "_handles", "_mutex"),
-    GuardedAttr("ScheduleRegistry", "_read_handles", "_mutex"),
-    GuardedAttr("ScheduleRegistry", "total_lines", "_mutex"),
-    GuardedAttr("ScheduleRegistry", "skipped_lines", "_mutex"),
-    # RecordStore: appends come from server worker threads concurrently.
-    GuardedAttr("RecordStore", "_measures", "_lock"),
-    GuardedAttr("RecordStore", "_results", "_lock"),
-    GuardedAttr("RecordStore", "skipped_lines", "_lock"),
-    GuardedAttr("RecordStore", "slow_flushes", "_lock"),
-    GuardedAttr("RecordStore", "flush_failures", "_lock"),
-    # TuningService: job table + stats counters.
-    GuardedAttr("TuningService", "_jobs", "_lock"),
-    GuardedAttr("TuningService", "_transfer_donors", "_lock"),
-    GuardedAttr("TuningService", "_warm_start_donors", "_lock"),
-    GuardedAttr("TuningService", "jobs_created", "_lock"),
-    GuardedAttr("TuningService", "registry_hits", "_lock"),
-    GuardedAttr("TuningService", "coalesced_requests", "_lock"),
-    GuardedAttr("TuningService", "aborted_jobs", "_lock"),
     # Per-job drive lock: serializes the drivers racing run()/advance().
     GuardedAttr("_Job", "finished", "drive_lock", mode="receiver", module="serving/service.py"),
     GuardedAttr(
         "_Job", "trials_used", "drive_lock", mode="receiver", module="serving/service.py"
     ),
-    # FaultPlan bookkeeping read by assertions and the gate.
-    GuardedAttr("FaultPlan", "fired", "_lock"),
-    GuardedAttr("FaultPlan", "_arrivals", "_lock"),
 )
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, TypeVar
+from typing import Callable, Dict, Hashable, List, TypeVar
 
 from repro.obs.metrics import register_collector as _register_collector
 
@@ -101,35 +101,21 @@ class MemoCache:
     ``get_or_create`` is the only lookup API: a hit returns the identical
     stored object (and refreshes its LRU position), a miss invokes the
     factory and stores the result, evicting the least-recently-used entry
-    beyond ``maxsize``.
-
-    ``on_evict`` (when given) is called with every value the cache lets go
-    of — LRU evictions, ``invalidate``, ``clear``, and the loser of a
-    concurrent-create race — which lets the cache manage values that own a
-    resource (the registry's open shard handles).
+    beyond ``maxsize``.  A dropped value is not closed, so cache only values
+    that own no resource.
     """
 
-    def __init__(
-        self,
-        name: str,
-        maxsize: int = 1024,
-        on_evict: Optional[Callable[[object], None]] = None,
-    ):
+    def __init__(self, name: str, maxsize: int = 1024):
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = int(maxsize)
         self.stats = CacheStats(name)
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = threading.Lock()
-        self._on_evict = on_evict
 
     @property
     def name(self) -> str:
         return self.stats.name
-
-    def _dispose(self, value: object) -> None:
-        if self._on_evict is not None:
-            self._on_evict(value)
 
     def get_or_create(self, key: Hashable, factory: Callable[[], T]) -> T:
         with self._lock:
@@ -138,39 +124,23 @@ class MemoCache:
                 self.stats.hits += 1
                 return self._entries[key]  # type: ignore[return-value]
         value = factory()  # computed outside the lock: factories may be slow
-        evicted: List[object] = []
         with self._lock:
             if key not in self._entries:
                 self.stats.misses += 1
                 self._entries[key] = value
                 while len(self._entries) > self.maxsize:
-                    evicted.append(self._entries.popitem(last=False)[1])
+                    self._entries.popitem(last=False)
                     self.stats.evictions += 1
             else:
                 # A concurrent thread won the race; serve its object so hits
-                # keep returning one identical instance.  The raced-out value
-                # is disposed of — it may own a resource.
+                # keep returning one identical instance.
                 self.stats.hits += 1
-                evicted.append(value)
                 value = self._entries[key]  # type: ignore[assignment]
-        for stale in evicted:  # disposed outside the lock: callbacks may block
-            self._dispose(stale)
         return value
-
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop one entry; returns whether it was present."""
-        with self._lock:
-            value = self._entries.pop(key, None)
-        if value is not None:
-            self._dispose(value)
-        return value is not None
 
     def clear(self) -> None:
         with self._lock:
-            dropped = list(self._entries.values())
             self._entries.clear()
-        for value in dropped:
-            self._dispose(value)
 
     def __len__(self) -> int:
         with self._lock:

@@ -176,8 +176,8 @@ class FaultPlan:
         self.specs: List[FaultSpec] = list(specs)
         self.seed = int(seed)
         self.rng = random.Random(self.seed)
-        self.fired: List[Tuple[str, str, str]] = []
-        self._arrivals = [0] * len(self.specs)
+        self.fired: List[Tuple[str, str, str]] = []  # guarded-by: _lock
+        self._arrivals = [0] * len(self.specs)  # guarded-by: _lock
         self._lock = threading.Lock()
 
     @classmethod

@@ -313,12 +313,8 @@ def compaction_atomic(ctx: ScenarioContext) -> None:
         "re-running compaction after the crash changed the best map",
     )
 
-    # Compaction also publishes the v2 index sidecars: a fresh reload must
-    # answer an exact hit from the index after touching at most its one shard.
-    ctx.require(
-        len(list(root.glob("shard-*.idx.json"))) >= 1,
-        "compaction published no index sidecars",
-    )
+    # Compaction also writes the manifest: a fresh reload must answer an
+    # exact hit after scanning at most its one shard.
     lazy = _quiet_registry(root, num_shards=2)
     ctx.require(
         lazy.lookup("wl-00", "sim-cpu", k=0).entry is not None,
@@ -382,8 +378,8 @@ def compaction_idempotent(ctx: ScenarioContext) -> None:
         "compaction retried after the crash changed the best map",
     )
 
-    # The retried compaction must leave every shard's index sidecar coherent:
-    # a lazy reload answers exactly without a full scan.
+    # The retried compaction must leave a native layout: a lazy reload
+    # answers exactly without a full scan.
     lazy = _quiet_registry(root, num_shards=2)
     ctx.require(
         lazy.lookup("wl-00", "sim-cpu", k=0).entry is not None

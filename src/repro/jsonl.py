@@ -11,9 +11,11 @@ so the next committed record would concatenate onto the torn prefix and one
 physically truncates the torn tail (and warns), restoring the one-object-
 per-line invariant before any parsing or appending happens.
 
-A complete final line that merely lacks its newline is valid JSON and is left
-alone; mid-file corruption is *not* touched here — that is a data-integrity
-question the stores answer via their ``strict`` policy.
+A complete final line that merely lacks its newline is valid JSON and is
+kept, but its newline is restored: otherwise the next append would run onto
+it, and the following load would truncate the merged line as torn, losing
+both entries.  Mid-file corruption is *not* touched here — that is a
+data-integrity question the stores answer via their ``strict`` policy.
 """
 
 from __future__ import annotations
@@ -63,9 +65,10 @@ def repair_torn_tail(path: Path, label: str = "JSONL file") -> int:
     """Truncate a torn (partially written) final line off a JSONL file.
 
     Returns the number of bytes removed (0 when the file ends cleanly or the
-    final line is syntactically valid JSON).  Emits a ``UserWarning`` naming
-    the file when a tail is removed: the entry it belonged to was never
-    durably committed, so dropping it is the only consistent recovery.
+    final line is syntactically valid JSON; a valid final line without its
+    newline gets the newline appended).  Emits a ``UserWarning`` naming the
+    file when a tail is removed: the entry it belonged to was never durably
+    committed, so dropping it is the only consistent recovery.
     """
     path = Path(path)
     try:
@@ -79,9 +82,13 @@ def repair_torn_tail(path: Path, label: str = "JSONL file") -> int:
     tail = stripped[start - buf_start :]
     try:
         json.loads(tail.decode("utf-8", errors="replace"))
-        return 0
     except json.JSONDecodeError:
         pass
+    else:
+        if not buf.endswith(b"\n"):
+            with path.open("ab") as fh:
+                fh.write(b"\n")
+        return 0
     removed = size - start
     with path.open("rb+") as fh:
         fh.truncate(start)

@@ -22,6 +22,7 @@ every shed answer is degraded with zero fresh trials.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 import time
@@ -77,8 +78,8 @@ def percentile(sorted_values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile of an ascending-sorted sequence (0 if empty)."""
     if not sorted_values:
         return 0.0
-    rank = max(int(round(q / 100.0 * len(sorted_values) + 0.5)) - 1, 0)
-    return float(sorted_values[min(rank, len(sorted_values) - 1)])
+    rank = max(math.ceil(q * len(sorted_values) / 100.0), 1)
+    return float(sorted_values[min(rank, len(sorted_values)) - 1])
 
 
 def _zipf_weights(n: int, s: float) -> List[float]:

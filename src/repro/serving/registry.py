@@ -18,20 +18,16 @@ than rewriting the shard, so files grow monotonically until
 :meth:`ScheduleRegistry.compact` rewrites each shard with only the current
 best entry per key (atomically, via temp file + ``os.replace``).
 
-Shard format v2 (``repro-shard/2``) adds a per-shard *index sidecar*
-(``shard-NN.idx.json``) next to each data file: byte offset + length, key,
-latency and embedding of the best line per key, plus the line counters and a
-CRC of the data-file prefix.  A registry directory with a matching
-``registry.json`` manifest loads *lazily*: construction touches no shard, an
-exact :meth:`lookup` indexes only the one shard its key hashes to (one small
-sidecar parse), and entry bodies are materialised on demand with a single
-``seek`` + ``read`` through an LRU cache of open shard handles.  Sidecars
-are advisory: a stale or missing one (crash between data replace and sidecar
-write, a shard torn-tail repair, a v1 directory) falls back to scanning the
-data file, and lines appended after the sidecar was written are absorbed by
-scanning only the tail beyond ``data_bytes``.  v1 directories (no manifest)
-are read transparently — every file is scanned eagerly on first access —
-and upgraded to v2 by :meth:`compact` (or on :meth:`close` after writes).
+A directory whose ``registry.json`` manifest (format tag plus shard count)
+matches the registry loads *lazily*: construction reads no shard, an exact
+:meth:`lookup` scans only the one shard its key hashes to, the similarity
+tiers scan every shard, and a scan keeps each key's best line as a light
+index record (byte offset + length, latency, embedding).  Entry bodies are
+materialised on demand with a single ``seek`` + ``read`` through one open
+read handle per shard file.  v1 directories (no manifest) and foreign layouts
+(another shard count) are read transparently — every file is scanned eagerly
+on first access — and upgraded in place by :meth:`compact`, which writes the
+manifest.
 
 Reuse model
 -----------
@@ -73,7 +69,7 @@ from typing import IO, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.caching import MemoCache, cached_sketches
+from repro.caching import cached_sketches
 from repro.faults.plan import poll as poll_fault
 from repro.hardware.catalog import default_catalog, target_distance
 from repro.jsonl import repair_torn_tail
@@ -96,15 +92,8 @@ __all__ = [
     "TransferCandidate",
 ]
 
-#: Version tag of the per-shard index sidecar (``shard-NN.idx.json``).
-SHARD_INDEX_FORMAT = "repro-shard/2"
 #: Version tag of the registry-level layout manifest (``registry.json``).
 REGISTRY_MANIFEST_FORMAT = "repro-registry/2"
-
-#: How many leading bytes of a data file its sidecar checksums.  Enough to
-#: catch a shard rewritten in place (compaction under a different mapping),
-#: cheap enough to verify on every lazy load.
-_PREFIX_CRC_CAP = 64 * 1024
 
 _LOOKUPS = counter("registry.lookups", "Exact (fingerprint, target) lookups")
 _HITS = counter("registry.hits", "Exact lookups answered from the best map")
@@ -117,11 +106,7 @@ _SHARD_OPENS = counter("registry.shard_opens", "Shard files opened for indexed r
 _INDEX_HITS = counter(
     "registry.index_hits", "Entries materialised via a shard-index seek"
 )
-_INDEX_LOADS = counter("registry.index_loads", "Shard indexes ingested from sidecars")
 _SHARD_LOAD = histogram("registry.shard_load_seconds", help="Per-shard JSONL scan time")
-_INDEX_LOAD = histogram(
-    "registry.index_load_seconds", help="Per-shard index load (sidecar or scan) time"
-)
 _APPEND = histogram("registry.append_seconds", help="Single-entry shard append time")
 _COMPACT = histogram("registry.compact_seconds", help="Full registry compaction time")
 
@@ -322,20 +307,6 @@ class _IndexEntry:
         return (self.fingerprint, self.target)
 
 
-class _FileState:
-    """Per shard-file bookkeeping: what has been indexed and how far."""
-
-    __slots__ = ("indexed", "data_bytes", "total_lines", "skipped_lines", "dirty")
-
-    def __init__(self) -> None:
-        self.indexed = False
-        self.data_bytes = 0
-        self.total_lines = 0
-        self.skipped_lines = 0
-        #: the in-memory index is ahead of the on-disk sidecar
-        self.dirty = False
-
-
 class _TargetMatrix:
     """Contiguous embedding matrix of one target's index entries.
 
@@ -389,9 +360,6 @@ class ScheduleRegistry:
         skipped and counted in :attr:`skipped_lines`.  Strict registries
         index every shard eagerly at construction (validation implies
         reading everything anyway).
-    max_open_shards:
-        Capacity of the LRU cache of open read handles used to materialise
-        entries through the shard index.
 
     Thread safety
     -------------
@@ -410,7 +378,6 @@ class ScheduleRegistry:
         root: Optional[Union[str, Path]] = None,
         num_shards: int = 16,
         strict: bool = False,
-        max_open_shards: int = 64,
     ):
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
@@ -426,19 +393,16 @@ class ScheduleRegistry:
         self._index: Dict[Tuple[str, str], _IndexEntry] = {}  # guarded-by: _mutex
         #: materialised-entry cache over ``_index`` (filled on demand)
         self._best: Dict[Tuple[str, str], RegistryEntry] = {}  # guarded-by: _mutex
-        self._files: Dict[Path, _FileState] = {}  # guarded-by: _mutex
+        #: shard paths whose every line is in ``_index``
+        self._indexed: set = set()  # guarded-by: _mutex
         self._targets: set = set()  # guarded-by: _mutex
         self._matrices: Dict[str, _TargetMatrix] = {}  # guarded-by: _mutex
         self._all_indexed = False  # guarded-by: _mutex
         self._native = True  # guarded-by: _mutex
         self._manifest_ok = False  # guarded-by: _mutex
         self._handles: Dict[int, IO[bytes]] = {}  # guarded-by: _mutex
-        #: LRU of open read handles; eviction closes the file
-        self._read_handles = MemoCache(  # guarded-by: _mutex
-            "registry.shard_handles",
-            maxsize=max(int(max_open_shards), 1),
-            on_evict=lambda fh: fh.close(),
-        )
+        #: one read handle per shard file, opened on its first entry read
+        self._read_handles: Dict[Path, IO[bytes]] = {}  # guarded-by: _mutex
         if self.root is not None and self.root.exists():
             self.removed_orphans = self._remove_orphan_tmps()
             # Torn-tail repair stays eager (it is O(final line) per file):
@@ -465,12 +429,6 @@ class ScheduleRegistry:
     def _shard_path(self, shard: int) -> Path:
         assert self.root is not None
         return self.root / f"shard-{shard:02d}.jsonl"
-
-    @staticmethod
-    def _sidecar_path(path: Path) -> Path:
-        # shard-NN.jsonl → shard-NN.idx.json: the sidecar describes the data
-        # *file*, so the name derives from the filename, not the shard map.
-        return path.with_name(path.name[: -len(".jsonl")] + ".idx.json")
 
     def _manifest_path(self) -> Path:
         assert self.root is not None
@@ -528,23 +486,17 @@ class ScheduleRegistry:
     def _remove_orphan_tmps(self) -> int:
         """Delete half-written temp files left behind by a crash.
 
-        A compaction (or sidecar/manifest write) killed before its atomic
-        ``os.replace`` leaves a ``*.tmp`` next to the intact file; a crash
-        between a data-file unlink and its sidecar unlink leaves a sidecar
-        with no data file.  Neither holds anything the surviving files do
-        not, so dropping them is the whole recovery — but they must be
-        dropped, or crashed maintenance accumulates garbage files forever.
+        A compaction (or manifest write) killed before its atomic
+        ``os.replace`` leaves a ``*.tmp`` next to the intact file.  It holds
+        nothing the surviving files do not, so dropping it is the whole
+        recovery — but it must be dropped, or crashed maintenance
+        accumulates garbage files forever.
         """
         assert self.root is not None
         removed = 0
-        for pattern in ("shard-*.jsonl.tmp", "shard-*.idx.json.tmp", "registry.json.tmp"):
+        for pattern in ("shard-*.jsonl.tmp", "registry.json.tmp"):
             for tmp in self.root.glob(pattern):
                 tmp.unlink()
-                removed += 1
-        for sidecar in self.root.glob("shard-*.idx.json"):
-            data = sidecar.with_name(sidecar.name[: -len(".idx.json")] + ".jsonl")
-            if not data.exists():
-                sidecar.unlink()
                 removed += 1
         return removed
 
@@ -562,13 +514,10 @@ class ScheduleRegistry:
 
     def _ensure_shard_indexed_locked(self, shard: int) -> None:
         path = self._shard_path(shard)
-        state = self._files.get(path)
-        if state is not None and state.indexed:
+        if path in self._indexed:
             return
         if not path.exists():
-            state = _FileState()
-            state.indexed = True
-            self._files[path] = state
+            self._indexed.add(path)
             return
         self._index_file_locked(path)
 
@@ -585,120 +534,25 @@ class ScheduleRegistry:
             # Glob rather than range(num_shards): a registry written with a
             # different shard count must still load every entry.
             for path in sorted(self.root.glob("shard-*.jsonl")):
-                state = self._files.get(path)
-                if state is None or not state.indexed:
+                if path not in self._indexed:
                     self._index_file_locked(path)
         self._all_indexed = True
 
     def _index_file_locked(self, path: Path) -> None:
         began = time.perf_counter()
-        state = self._files.get(path)
-        if state is None:
-            state = _FileState()
-        if not self._load_sidecar_locked(path, state):
-            scan_began = time.perf_counter()
-            data = path.read_bytes()
-            self._scan_lines_locked(path, state, data, base_offset=0, lineno_base=0)
-            state.data_bytes = len(data)
-            if self._native:
-                # a scanned native shard is upgrade-eligible: close() will
-                # write its sidecar so the next open loads lazily.
-                state.dirty = True
-            _SHARD_LOAD.observe(time.perf_counter() - scan_began)
-        state.indexed = True
-        self._files[path] = state
-        _INDEX_LOAD.observe(time.perf_counter() - began)
+        self._scan_lines_locked(path, path.read_bytes())
+        self._indexed.add(path)
+        _SHARD_LOAD.observe(time.perf_counter() - began)
 
-    def _load_sidecar_locked(self, path: Path, state: _FileState) -> bool:
-        """Ingest a v2 sidecar; False → caller must scan the data file.
-
-        The sidecar is only trusted when it provably matches the data file:
-        its ``data_bytes`` must not exceed the file, the indexed region must
-        end on a line boundary, and the checksummed file prefix must match.
-        Lines appended after the sidecar was written (``data_bytes`` …
-        end-of-file) are absorbed by scanning just that tail.
-        """
-        sidecar = self._sidecar_path(path)
-        try:
-            payload = json.loads(sidecar.read_text(encoding="utf-8"))
-        except (FileNotFoundError, OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return False
-        if not isinstance(payload, dict) or payload.get("format") != SHARD_INDEX_FORMAT:
-            return False
-        try:
-            data_bytes = int(payload["data_bytes"])
-            total_lines = int(payload["total_lines"])
-            skipped_lines = int(payload["skipped_lines"])
-            prefix_len = int(payload["prefix_len"])
-            prefix_crc = int(payload["prefix_crc"])
-            parsed = [
-                _IndexEntry(
-                    fingerprint=str(item[0]),
-                    target=sys.intern(str(item[1])),
-                    latency=float(item[2]),
-                    has_schedule=bool(item[5]),
-                    embedding=tuple(float(v) for v in item[6]),
-                    path=path,
-                    offset=int(item[3]),
-                    length=int(item[4]),
-                )
-                for item in payload["entries"]
-            ]
-        except (IndexError, KeyError, TypeError, ValueError):
-            return False
-        if data_bytes < 0 or total_lines < 0 or skipped_lines < 0:
-            return False
-        try:
-            with path.open("rb") as fh:
-                size = fh.seek(0, os.SEEK_END)
-                if data_bytes > size:
-                    return False  # file shrank (tail repair): index is stale
-                if data_bytes:
-                    fh.seek(data_bytes - 1)
-                    if fh.read(1) != b"\n":
-                        return False  # indexed region no longer line-aligned
-                    fh.seek(0)
-                    if zlib.crc32(fh.read(min(prefix_len, data_bytes))) != prefix_crc:
-                        return False  # file was rewritten under the sidecar
-                tail = b""
-                if size > data_bytes:
-                    fh.seek(data_bytes)
-                    tail = fh.read()
-        except OSError:
-            return False
-        for ie in parsed:
-            self._absorb_index_locked(ie, None)
-        state.data_bytes = data_bytes
-        state.total_lines = total_lines
-        state.skipped_lines = skipped_lines
-        self.total_lines += total_lines
-        self.skipped_lines += skipped_lines
-        _INDEX_LOADS.inc()
-        if tail:
-            self._scan_lines_locked(
-                path, state, tail, base_offset=data_bytes, lineno_base=total_lines
-            )
-            state.data_bytes = data_bytes + len(tail)
-            state.dirty = True
-        return True
-
-    def _scan_lines_locked(
-        self,
-        path: Path,
-        state: _FileState,
-        blob: bytes,
-        base_offset: int,
-        lineno_base: int,
-    ) -> None:
+    def _scan_lines_locked(self, path: Path, blob: bytes) -> None:
         """Parse raw shard bytes into the index, tracking line offsets."""
-        pos = base_offset
-        for lineno, raw in enumerate(blob.splitlines(keepends=True), start=lineno_base + 1):
+        pos = 0
+        for lineno, raw in enumerate(blob.splitlines(keepends=True), start=1):
             offset = pos
             pos += len(raw)
             text = raw.strip()
             if not text:
                 continue
-            state.total_lines += 1
             self.total_lines += 1
             try:
                 entry = RegistryEntry.from_dict(json.loads(text))
@@ -707,7 +561,6 @@ class ScheduleRegistry:
                     raise ValueError(
                         f"corrupted registry entry at {path}:{lineno}: {exc}"
                     ) from exc
-                state.skipped_lines += 1
                 self.skipped_lines += 1
                 continue
             self._absorb_index_locked(
@@ -750,14 +603,11 @@ class ScheduleRegistry:
     # ------------------------------------------------------------------ #
     # materialisation
     # ------------------------------------------------------------------ #
-    def _open_read_handle(self, path: Path) -> IO[bytes]:
-        _SHARD_OPENS.inc()
-        return path.open("rb")
-
     def _read_span_locked(self, path: Path, offset: int, length: int) -> bytes:
-        fh = self._read_handles.get_or_create(
-            str(path), lambda: self._open_read_handle(path)
-        )
+        fh = self._read_handles.get(path)
+        if fh is None:
+            _SHARD_OPENS.inc()
+            fh = self._read_handles[path] = path.open("rb")
         fh.seek(offset)
         return fh.read(length)
 
@@ -810,14 +660,7 @@ class ScheduleRegistry:
             ie.path = path
             ie.offset = offset
             ie.length = len(data)
-        state = self._files.get(path)
-        if state is None:
-            state = _FileState()
-            state.indexed = True
-            self._files[path] = state
-        state.total_lines += 1
-        state.data_bytes = offset + len(data)
-        state.dirty = True
+        self._indexed.add(path)
         self.total_lines += 1
         _APPEND.observe(time.perf_counter() - began)
 
@@ -1101,10 +944,8 @@ class ScheduleRegistry:
     def stats(self) -> dict:
         """Aggregate registry statistics (entries, shards, stale lines, ...)."""
         shard_files = 0
-        index_sidecars = 0
         if self.root is not None and self.root.exists():
             shard_files = len(list(self.root.glob("shard-*.jsonl")))
-            index_sidecars = len(list(self.root.glob("shard-*.idx.json")))
         with self._mutex:
             self._ensure_all_indexed_locked()
             return {
@@ -1112,7 +953,6 @@ class ScheduleRegistry:
                 "workloads": len({fp for fp, _t in self._index}),
                 "targets": sorted(self._targets),
                 "shard_files": shard_files,
-                "index_sidecars": index_sidecars,
                 "total_lines": self.total_lines,
                 "stale_lines": max(
                     self.total_lines - self.skipped_lines - len(self._index), 0
@@ -1127,7 +967,7 @@ class ScheduleRegistry:
     def indexed_shards(self) -> int:
         """How many shard files have been indexed so far (lazy-load probe)."""
         with self._mutex:
-            return sum(1 for state in self._files.values() if state.indexed)
+            return len(self._indexed)
 
     def __len__(self) -> int:
         with self._mutex:
@@ -1460,11 +1300,10 @@ class ScheduleRegistry:
 
         Streams verbatim line bytes from the old files into the new ones
         (no shard is ever held in memory), replaces each data file
-        atomically (temp file + ``os.replace``), then writes fresh v2 index
-        sidecars and the layout manifest — so a crash mid-compaction leaves
-        either the old or the new shard, never a torn one, and a stale
-        sidecar is detected and rescanned on the next open.  Returns the
-        number of stale lines removed.
+        atomically (temp file + ``os.replace``), then writes the layout
+        manifest — so a crash mid-compaction leaves either the old or the
+        new shard, never a torn one.  Returns the number of stale lines
+        removed.
         """
         if self.root is None:
             return 0
@@ -1491,14 +1330,12 @@ class ScheduleRegistry:
 
     def _compact_inner_locked(self) -> int:
         # Caller holds _mutex for the whole rewrite, with the index complete.
-        self._close_handles_locked(read_handles=False)
         removed = self.total_lines - self.skipped_lines - len(self._index)
         self.root.mkdir(parents=True, exist_ok=True)
         self.removed_orphans += self._remove_orphan_tmps()
         # Drop every existing shard file (including ones written under a
-        # different shard count) and stale sidecar after the rewrite.
+        # different shard count) after the rewrite.
         stale_data = set(self.root.glob("shard-*.jsonl"))
-        stale_sidecars = set(self.root.glob("shard-*.idx.json"))
         by_shard: Dict[int, List[_IndexEntry]] = {}
         for key in sorted(self._index):
             ie = self._index[key]
@@ -1506,7 +1343,7 @@ class ScheduleRegistry:
         # Phase A: stream every surviving line into its temp file.  All
         # temps are written before any replace so the source reads above
         # never race the renames.
-        plans: List[Tuple[int, Path, Path, List[Tuple[_IndexEntry, int, int]], int]] = []
+        plans: List[Tuple[int, Path, Path, List[Tuple[_IndexEntry, int, int]]]] = []
         for shard, items in sorted(by_shard.items()):
             path = self._shard_path(shard)
             tmp = path.with_suffix(".jsonl.tmp")
@@ -1528,102 +1365,42 @@ class ScheduleRegistry:
                     fh.write(raw)
                     spans.append((ie, pos, len(raw)))
                     pos += len(raw)
-            plans.append((shard, path, tmp, spans, pos))
-        # Phase B: atomic replaces, then fresh sidecars per shard.
-        for shard, path, tmp, spans, size in plans:
+            plans.append((shard, path, tmp, spans))
+        # Phase B: atomic replaces.
+        for shard, path, tmp, spans in plans:
             fired = poll_fault(
                 "registry.compact", detail=f"before_replace:shard-{shard:02d}"
             )
             if fired is not None:
                 fired.crash(f"died before atomically replacing shard {shard}")
             os.replace(tmp, path)
-            state = _FileState()
-            state.indexed = True
-            state.data_bytes = size
-            state.total_lines = len(spans)
-            self._files[path] = state
+            self._indexed.add(path)
             for ie, offset, length in spans:
                 ie.path = path
                 ie.offset = offset
                 ie.length = length
-            self._write_sidecar_locked(path, state, [ie for ie, _o, _l in spans])
             stale_data.discard(path)
-            stale_sidecars.discard(self._sidecar_path(path))
         for path in stale_data:
             path.unlink()
-            self._files.pop(path, None)
-        for path in stale_sidecars:
-            path.unlink()
+            self._indexed.discard(path)
         self._write_manifest_locked()
         self._native = True
         # Old inodes were replaced: reopen on next read.
-        self._read_handles.clear()
+        self._close_handles_locked()
         self.total_lines = len(self._index)
         self.skipped_lines = 0
         return max(removed, 0)
 
-    def _write_sidecar_locked(
-        self, path: Path, state: _FileState, entries: List[_IndexEntry]
-    ) -> None:
-        """Atomically (re)write the v2 index sidecar of one data file."""
-        prefix_len = min(state.data_bytes, _PREFIX_CRC_CAP)
-        try:
-            with path.open("rb") as fh:
-                prefix_crc = zlib.crc32(fh.read(prefix_len))
-        except OSError:
-            return
-        payload = {
-            "format": SHARD_INDEX_FORMAT,
-            "data_bytes": state.data_bytes,
-            "total_lines": state.total_lines,
-            "skipped_lines": state.skipped_lines,
-            "prefix_len": prefix_len,
-            "prefix_crc": prefix_crc,
-            "entries": [
-                [
-                    ie.fingerprint,
-                    ie.target,
-                    ie.latency,
-                    ie.offset,
-                    ie.length,
-                    1 if ie.has_schedule else 0,
-                    list(ie.embedding),
-                ]
-                for ie in sorted(entries, key=lambda ie: (ie.fingerprint, ie.target))
-            ],
-        }
-        sidecar = self._sidecar_path(path)
-        tmp = sidecar.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload), encoding="utf-8")
-        os.replace(tmp, sidecar)
-        state.dirty = False
-
     # ------------------------------------------------------------------ #
-    def _close_handles_locked(self, read_handles: bool = True) -> None:
-        for fh in self._handles.values():
-            fh.close()
-        self._handles.clear()
-        if read_handles:
-            self._read_handles.clear()
+    def _close_handles_locked(self) -> None:
+        for handles in (self._handles, self._read_handles):
+            for fh in handles.values():
+                fh.close()
+            handles.clear()
 
     def close(self) -> None:
-        """Flush index sidecars for written shards and close all handles.
-
-        Idempotent.  Sidecars are only written for *native* layouts (the
-        canonical shard naming under the current shard count) whose index
-        moved past the on-disk sidecar — so closing a freshly written or
-        appended registry leaves it lazy-loadable, while foreign layouts
-        are left untouched for the next eager reader.
-        """
+        """Close every shard handle.  Idempotent."""
         with self._mutex:
-            if self.root is not None and self._native:
-                by_path: Dict[Path, List[_IndexEntry]] = {}
-                for ie in self._index.values():
-                    if ie.path is not None and ie.offset >= 0:
-                        by_path.setdefault(ie.path, []).append(ie)
-                for path, state in self._files.items():
-                    if state.indexed and state.dirty and path.exists():
-                        self._write_sidecar_locked(path, state, by_path.get(path, []))
             self._close_handles_locked()
 
     def __enter__(self) -> "ScheduleRegistry":

@@ -124,3 +124,21 @@ class TestTornTail:
         final = RecordStore.load(path, strict=True)
         assert final.skipped_lines == 0
         assert [m.trial_index for m in final.query(kind="measure")] == [1, 2]
+
+    def test_complete_final_line_without_newline_is_kept(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        store = RecordStore(path)
+        store.append_measure(_measure(1))
+        store.append_measure(_measure(2))
+        store.close()
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))  # newline lost, data whole
+
+        reopened = RecordStore(path, strict=True)
+        assert reopened.truncated_tails == 0
+        # The next append must start a line of its own, not run onto record 2.
+        reopened.append_measure(_measure(3))
+        reopened.close()
+
+        final = RecordStore.load(path, strict=True)
+        assert final.truncated_tails == 0
+        assert [m.trial_index for m in final.query(kind="measure")] == [1, 2, 3]

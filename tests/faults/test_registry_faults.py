@@ -131,6 +131,16 @@ class TestTornTailOnEveryShard:
         recovered = ScheduleRegistry(root, num_shards=1, strict=True)
         assert recovered.truncated_tails == 0
         assert _best_map(recovered) == {("wl-00", "sim-cpu"): 1.5}
+        # The next append must start a line of its own, not run onto this one.
+        assert recovered.record(_entry(1, 2.0))
+        recovered.close()
+
+        final = ScheduleRegistry(root, num_shards=1, strict=True)
+        assert final.truncated_tails == 0
+        assert _best_map(final) == {
+            ("wl-00", "sim-cpu"): 1.5,
+            ("wl-01", "sim-cpu"): 2.0,
+        }
 
 
 class TestCompactionCrashSafety:

@@ -1,11 +1,11 @@
-"""Shard-format v2 behaviour: lazy indexed loads, sidecars, and the LRU.
+"""Shard-format v2 behaviour: lazy indexed loads and shard read handles.
 
 The contract under test is the one the million-entry redesign rests on:
 
-* a v2 (manifest + sidecar) registry indexes **no** shard at construction
-  and at most the key's home shard for an exact ``lookup(..., k=0)``;
-* stale, corrupt or missing sidecars, foreign (v1) layouts, and appended
-  tails all degrade transparently to a scan with identical answers;
+* a v2 (manifest) registry indexes **no** shard at construction and scans
+  at most the key's home shard for an exact ``lookup(..., k=0)``;
+* foreign (v1) layouts and lines appended by another writer are read with
+  identical answers;
 * for *any* interleaving of append / compact / crash (driven by the faults
   harness), a lazy v2 reload returns exactly the entries a line-by-line
   parse of the surviving shard files says it must.
@@ -90,12 +90,11 @@ class TestLazyLoading:
         assert len(result.neighbors) == 3
         assert lazy.indexed_shards == len(list(tmp_path.glob("shard-*.jsonl")))
 
-    def test_stale_sidecar_tail_is_absorbed(self, tmp_path):
+    def test_line_appended_by_another_writer_is_read_on_reopen(self, tmp_path):
         registry = ScheduleRegistry(tmp_path, num_shards=1)
         registry.record(_entry(0, 1.0))
         registry.close()
-        # Append behind the sidecar's back (a v2 reader with the old sidecar
-        # must scan the appended tail, not miss it).
+        # Append behind the registry's back: a reopened v2 reader must see it.
         better = _entry(0, 0.5)
         shard = tmp_path / "shard-00.jsonl"
         with shard.open("a", encoding="utf-8") as fh:
@@ -104,18 +103,6 @@ class TestLazyLoading:
         reloaded = ScheduleRegistry(tmp_path, num_shards=1)
         assert reloaded.lookup("fp-000", "sim-cpu", k=0).entry.latency == 0.5
 
-    def test_corrupt_sidecar_falls_back_to_scan(self, tmp_path):
-        registry = ScheduleRegistry(tmp_path, num_shards=1)
-        for i in range(5):
-            registry.record(_entry(i, 1.0 + i))
-        registry.close()
-        sidecar = tmp_path / "shard-00.idx.json"
-        assert sidecar.exists()
-        sidecar.write_text("{not json", encoding="utf-8")
-
-        reloaded = _quiet(tmp_path, num_shards=1)
-        assert {e.key for e in reloaded.entries()} == set(_oracle(tmp_path))
-
     def test_v1_layout_reads_transparently(self, tmp_path):
         # A pre-manifest directory: raw JSONL shards only.
         registry = ScheduleRegistry(tmp_path, num_shards=2)
@@ -123,24 +110,42 @@ class TestLazyLoading:
             registry.record(_entry(i, 1.0 + i / 10))
         registry.close()
         (tmp_path / "registry.json").unlink()
-        for sidecar in tmp_path.glob("shard-*.idx.json"):
-            sidecar.unlink()
 
         v1 = ScheduleRegistry(tmp_path, num_shards=2)
         assert v1.lookup("fp-004", "sim-cpu", k=0).entry is not None
         assert {e.key: e.latency for e in v1.entries()} == _oracle(tmp_path)
 
-    def test_read_handle_lru_is_bounded(self, tmp_path):
+    def test_one_read_handle_per_shard_file(self, tmp_path):
         registry = ScheduleRegistry(tmp_path, num_shards=8)
         for i in range(32):
             registry.record(_entry(i, 1.0 + i / 100))
         registry.close()
 
-        lazy = ScheduleRegistry(tmp_path, num_shards=8, max_open_shards=2)
+        lazy = ScheduleRegistry(tmp_path, num_shards=8)
         for i in range(32):
             entry = lazy.lookup(f"fp-{i:03d}", "sim-cpu", k=0).entry
             assert entry is not None and entry.workload == f"workload_{i}"
-        assert lazy.stats()["open_read_handles"] <= 2
+        shard_files = len(list(tmp_path.glob("shard-*.jsonl")))
+        assert shard_files > 1
+        assert lazy.stats()["open_read_handles"] == shard_files
+        lazy.close()
+        assert lazy.stats()["open_read_handles"] == 0
+
+    def test_directory_holds_only_manifest_and_shards(self, tmp_path):
+        registry = ScheduleRegistry(tmp_path, num_shards=4)
+        for i in range(12):
+            registry.record(_entry(i, 2.0))
+            registry.record(_entry(i, 1.0))  # improvement → stale line
+        registry.close()
+        reopened = ScheduleRegistry(tmp_path, num_shards=4)
+        assert reopened.compact() == 12
+        reopened.close()
+
+        names = {path.name for path in tmp_path.iterdir()}
+        assert "registry.json" in names
+        assert {name for name in names if name != "registry.json"} == {
+            path.name for path in tmp_path.glob("shard-*.jsonl")
+        }
 
 
 class TestLookupResult:

@@ -20,7 +20,7 @@ import typing
 import pytest
 
 from repro.faults.plan import FaultPlan, FaultSpec, inject
-from repro.serving.loadgen import LoadGenConfig, run_load
+from repro.serving.loadgen import LoadGenConfig, percentile, run_load
 from repro.serving.netclient import NetClientError, TuningClient
 from repro.serving.registry import ScheduleRegistry
 from repro.serving.server import ServerConfig, ServingServer
@@ -284,6 +284,13 @@ class TestLoadGenerator:
         p = report["latency_ms"]
         assert 0 <= p["p50"] <= p["p95"] <= p["p99"] <= p["max"]
         assert report["server"]["requests"] >= 12
+
+    def test_percentile_is_nearest_rank(self):
+        values = [float(v) for v in range(1, 101)]
+        assert percentile(values, 95) == 95.0
+        assert percentile(values, 99) == 99.0
+        assert percentile([1.0, 2.0], 50) == 1.0
+        assert percentile([], 50) == 0.0
 
     def test_run_load_annotations_resolve(self):
         hints = typing.get_type_hints(run_load)

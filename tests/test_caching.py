@@ -52,27 +52,9 @@ class TestMemoCache:
         assert cache.stats.evictions == 1
         assert "a" not in cache and "c" in cache
 
-    def test_invalidate(self):
-        cache = MemoCache("test")
-        value = cache.get_or_create("k", object)
-        assert cache.invalidate("k") is True
-        assert cache.invalidate("k") is False
-        assert cache.get_or_create("k", object) is not value
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             MemoCache("test", maxsize=0)
-
-    def test_on_evict_runs_for_lru_eviction_invalidate_and_clear(self):
-        disposed = []
-        cache = MemoCache("test", maxsize=2, on_evict=disposed.append)
-        for key in ("a", "b", "c"):
-            cache.get_or_create(key, lambda key=key: f"value-{key}")
-        assert disposed == ["value-a"]  # LRU eviction
-        cache.invalidate("b")
-        assert disposed == ["value-a", "value-b"]
-        cache.clear()
-        assert disposed == ["value-a", "value-b", "value-c"]
 
 
 class TestCachedSketches:

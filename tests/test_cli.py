@@ -181,8 +181,6 @@ class TestServingCommands:
         registry = tmp_path / "registry"
         assert main(["compare", "--op", "GEMM-S", "--trials", "8", "--scale", "0.05",
                      "--registry", str(registry)]) == 0
-        # Closing the registry writes the index sidecar the next open loads.
-        assert list(registry.glob("shard-*.idx.json"))
         dag = representative_dag("GEMM-S")
         comparison = compare_on_operator(dag, 8, config=HARLConfig.scaled(0.05),
                                          schedulers=("ansor", "harl"))
