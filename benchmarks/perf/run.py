@@ -23,12 +23,18 @@ Usage::
 
     python benchmarks/perf/run.py --output BENCH_perf.json
     python benchmarks/perf/run.py --check     # also enforce the speedup floor
+
+The process pins OpenBLAS/OpenMP/MKL to one thread before NumPy loads, as
+``benchmarks/e2e/bench.py`` does: an unpinned OpenBLAS spins a second thread
+through the learner's small products, which doubles process CPU time and
+inflates the CPU-time baseline of ``obs_overhead``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import sys
@@ -39,6 +45,9 @@ from typing import Callable, Dict, List, Optional
 REPO_ROOT = Path(__file__).resolve().parents[2]
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
+
+BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+os.environ.update(BLAS_ENV)  # before anything imports NumPy
 
 import numpy as np
 
@@ -395,6 +404,7 @@ def run_harness(repeats: int, batch: int, n_trials: int) -> Dict[str, object]:
             "repeats": repeats,
             "batch": batch,
             "tuning_trials": n_trials,
+            "env": {key: os.environ.get(key, "") for key in BLAS_ENV},
         },
     }
 

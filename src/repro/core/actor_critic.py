@@ -223,15 +223,21 @@ class PPOAgent:
         if len(self.buffer) == 0:
             return {"actor_loss": 0.0, "critic_loss": 0.0, "entropy": 0.0}
         stats = {"actor_loss": 0.0, "critic_loss": 0.0, "entropy": 0.0}
+        # One gradient buffer for every step: each backward rewrites all of it.
+        grads = ParameterViews(np.empty_like(self._params.buffer), self._shapes)
         for _ in range(self.config.ppo_epochs):
             batch = self.buffer.sample(self.config.minibatch_size)
-            step_stats = self._train_step(batch)
+            step_stats = self._train_step(batch, grads)
             for key in stats:
                 stats[key] += step_stats[key] / self.config.ppo_epochs
         self.updates += 1
         return stats
 
-    def _train_step(self, batch: Dict[str, np.ndarray]) -> Dict[str, float]:
+    def _train_step(
+        self, batch: Dict[str, np.ndarray], grads: Optional[ParameterViews] = None
+    ) -> Dict[str, float]:
+        """One gradient step on ``batch``, back-propagated into ``grads`` (a
+        fresh buffer by default), which the optimiser consumes."""
         cfg = self.config
         states = batch["states"]
         actions = batch["actions"]
@@ -283,7 +289,8 @@ class PPOAgent:
         critic_loss = float(cfg.mse_weight * (np.add.reduce(value_error ** 2) / n))
         grad_value = (2.0 * cfg.mse_weight * value_error / n)[:, None]
 
-        grads = ParameterViews(np.empty_like(self._params.buffer), self._shapes)
+        if grads is None:
+            grads = ParameterViews(np.empty_like(self._params.buffer), self._shapes)
         split = len(self.actor.shapes)
         self.actor.backward(actor_acts, grad_logits, grads[:split])
         self.critic.backward(critic_acts, grad_value, grads[split:])

@@ -7,6 +7,13 @@ measurements" behaviour in Section 3.2 of the paper), and predicts a
 normalised performance score for unmeasured schedules.  The score is the
 throughput relative to the best measured schedule of the same workload, so
 scores are comparable across workloads and usable directly as RL rewards.
+
+A refit comes due in :meth:`ScheduleCostModel.update` and runs in the first
+:meth:`ScheduleCostModel.predict` that reads its workload, on the samples it
+came due with.  A refit that a later one replaces before any read, or that
+nothing reads, is never fitted; the models that are read are the ones an
+eager refit would have built.  The ``costmodel.refits_due`` and
+``costmodel.refits`` counters tell the two apart.
 """
 
 from __future__ import annotations
@@ -17,16 +24,30 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.costmodel.gbt import GradientBoostedTrees
+from repro.obs.metrics import counter
 from repro.tensor.features import batch_features
 from repro.tensor.schedule import Schedule
 
 __all__ = ["ScheduleCostModel", "RandomCostModel"]
 
+_REFITS_DUE = counter("costmodel.refits_due", "Per-workload cost-model refits that came due")
+_REFITS = counter("costmodel.refits", "Per-workload cost-model refits fitted on read")
+
 
 @dataclass
 class _WorkloadData:
+    """One workload's measured samples and its model.
+
+    ``due`` is the sample count at the latest due refit (0 before the first)
+    and ``model`` was fitted on the first ``fitted`` samples, so a refit is
+    pending while the two differ.
+    """
+
     features: List[np.ndarray] = field(default_factory=list)
     throughputs: List[float] = field(default_factory=list)
+    due: int = 0
+    fitted: int = 0
+    model: Optional[GradientBoostedTrees] = None
 
     @property
     def best_throughput(self) -> float:
@@ -36,6 +57,13 @@ class _WorkloadData:
 class ScheduleCostModel:
     """Gradient-boosted cost model trained online on measured schedules.
 
+    A workload's refit comes due in :meth:`update` once it has
+    ``min_samples`` samples and either no refit came due before or
+    ``retrain_interval`` samples arrived since the last one.  It runs in the
+    first :meth:`predict` that reads the workload, on the samples counted
+    when it came due; a refit that a later one replaces first is skipped.
+    :meth:`is_trained` is True from the first due refit on.
+
     Parameters
     ----------
     min_samples:
@@ -43,7 +71,8 @@ class ScheduleCostModel:
         model is used; below this the model returns weak random priors, like
         an untrained XGBoost in Ansor.
     retrain_interval:
-        Retrain after this many new samples have been added since the last fit.
+        Retrain after this many new samples have been added since the last
+        refit came due.
     """
 
     def __init__(
@@ -63,15 +92,13 @@ class ScheduleCostModel:
         self._rng = np.random.default_rng(seed)
         self._seed = seed
         self._data: Dict[str, _WorkloadData] = {}
-        self._models: Dict[str, GradientBoostedTrees] = {}
-        self._since_fit: Dict[str, int] = {}
         self.num_updates = 0
 
     # ------------------------------------------------------------------ #
     # training
     # ------------------------------------------------------------------ #
     def update(self, schedules: Sequence[Schedule], throughputs: Sequence[float]) -> None:
-        """Add measured (schedule, throughput) pairs and retrain if due."""
+        """Add measured (schedule, throughput) pairs; a due refit runs on read."""
         if len(schedules) != len(throughputs):
             raise ValueError("schedules and throughputs must have the same length")
         if not schedules:
@@ -90,22 +117,23 @@ class ScheduleCostModel:
             data = self._data.setdefault(key, _WorkloadData())
             data.features.append(feature)
             data.throughputs.append(float(throughput))
-            self._since_fit[key] = self._since_fit.get(key, 0) + 1
             touched.add(key)
         self.num_updates += 1
 
         for key in touched:
             data = self._data[key]
-            due = self._since_fit.get(key, 0) >= self.retrain_interval
-            untrained = key not in self._models
-            if len(data.throughputs) >= self.min_samples and (due or untrained):
-                self._fit_workload(key)
+            n = len(data.throughputs)
+            if n >= self.min_samples and (not data.due or n - data.due >= self.retrain_interval):
+                data.due = n
+                _REFITS_DUE.inc()
 
-    def _fit_workload(self, key: str) -> None:
-        data = self._data[key]
-        X = np.stack(data.features, axis=0)
-        y = np.asarray(data.throughputs, dtype=np.float64)
-        y_norm = y / max(data.best_throughput, 1e-30)
+    def _fit(self, data: _WorkloadData) -> GradientBoostedTrees:
+        """Fit the workload's due refit on its first ``due`` samples, each
+        throughput normalised by the best of them."""
+        n = data.due
+        X = np.stack(data.features[:n], axis=0)
+        y = np.asarray(data.throughputs[:n], dtype=np.float64)
+        y_norm = y / max(float(y.max()), 1e-30)
         model = GradientBoostedTrees(
             n_estimators=self.n_estimators,
             max_depth=self.max_depth,
@@ -113,14 +141,17 @@ class ScheduleCostModel:
             seed=self._seed,
         )
         model.fit(X, y_norm)
-        self._models[key] = model
-        self._since_fit[key] = 0
+        data.model, data.fitted = model, n
+        _REFITS.inc()
+        return model
 
     # ------------------------------------------------------------------ #
     # prediction
     # ------------------------------------------------------------------ #
     def is_trained(self, workload_name: str) -> bool:
-        return workload_name in self._models
+        """Whether a refit has come due, fitted yet or not."""
+        data = self._data.get(workload_name)
+        return data is not None and data.due > 0
 
     def num_samples(self, workload_name: str) -> int:
         data = self._data.get(workload_name)
@@ -131,15 +162,16 @@ class ScheduleCostModel:
     ) -> np.ndarray:
         """Predicted performance score per schedule (≈ 1.0 for the best seen).
 
-        Schedules are grouped by workload.  A workload with a fitted model
-        gets its clipped prediction.  A cold workload (fewer than
+        Schedules are grouped by workload.  A trained workload gets its
+        model's clipped prediction, after fitting the refit that came due
+        since the last read, if any.  A cold workload (fewer than
         ``min_samples`` measurements so far) gets a weak random prior drawn
         from this model's RNG, one draw per schedule in batch order.  Features
-        are extracted only for the fitted workloads, since the prior does not
+        are extracted only for the trained workloads, since the prior does not
         read them.
 
         ``features``, when given, is ``batch_features(schedules)``: one row
-        per schedule, in batch order.  The fitted workloads then read their
+        per schedule, in batch order.  The trained workloads then read their
         rows from it instead of extracting them again.  A schedule's feature
         row and its score do not depend on the rest of the batch, so the
         scores are the same either way.
@@ -151,11 +183,12 @@ class ScheduleCostModel:
         for idx, schedule in enumerate(schedules):
             by_workload.setdefault(schedule.dag.name, []).append(idx)
         for key, indices in by_workload.items():
-            model = self._models.get(key)
-            if model is None:
+            data = self._data.get(key)
+            if data is None or not data.due:
                 # Cold start: weak uninformative prior, like an untrained booster.
                 scores[indices] = 0.05 * self._rng.random(len(indices))
             else:
+                model = data.model if data.fitted == data.due else self._fit(data)
                 if features is None:
                     feats = batch_features([schedules[i] for i in indices])
                 else:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.actor_critic import PPOAgent
+from repro.core.policy import ParameterViews
 
 
 @pytest.fixture
@@ -159,6 +160,32 @@ class TestLearning:
         agent.update()
         after = agent.actor.parameters()
         assert any(not np.allclose(b, a) for b, a in zip(before, after))
+
+    def test_update_shares_one_gradient_buffer_across_its_steps(self, tiny_config, rng):
+        """Each backward rewrites the whole gradient buffer, so the steps of
+        one ``update`` match steps that each get a fresh, NaN-filled one."""
+        agent = PPOAgent(feature_size=8, head_sizes=(485, 3, 3, 3), config=tiny_config, seed=0)
+        for _ in range(2):
+            states = _states(32, rng)
+            batch = agent.act(states)
+            rewards = rng.normal(size=32)
+            td, adv = agent.compute_advantage(rewards, batch.values, agent.value(states))
+            agent.store(states, batch.actions, batch.log_probs, rewards, td, adv)
+        twin = copy.deepcopy(agent)
+        assert tiny_config.ppo_epochs > 1
+        for _ in range(3):
+            agent.update()
+            for _ in range(tiny_config.ppo_epochs):
+                grads = ParameterViews(
+                    np.full_like(twin.parameters().buffer, np.nan), twin._shapes
+                )
+                twin._train_step(twin.buffer.sample(tiny_config.minibatch_size), grads)
+        for ours, theirs in (
+            (agent.parameters().buffer, twin.parameters().buffer),
+            (agent.optimizer._m, twin.optimizer._m),
+            (agent.optimizer._v, twin.optimizer._v),
+        ):
+            assert ours.tobytes() == theirs.tobytes()
 
 
 def _train_once(agent, rng):

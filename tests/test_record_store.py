@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core.scheduler import HARLScheduler
+from repro.costmodel.gbt import GradientBoostedTrees
 from repro.costmodel.model import ScheduleCostModel
 from repro.hardware.measurer import Measurer
 from repro.records import RecordStore, schedule_to_dict
@@ -208,6 +209,25 @@ class TestReplayAndResume:
         assert measurer.trials(dag.name) == 0  # no budget consumed by replay
         # best first
         assert restored[0].signature() == min(results, key=lambda r: r.latency).schedule.signature()
+
+    def test_replay_fits_the_cost_model_on_its_first_read(
+        self, cpu, gemm_sketch, rng, monkeypatch
+    ):
+        store = RecordStore()
+        _measure_some(cpu, gemm_sketch, rng, store, n=20)
+        fits = []
+        real = GradientBoostedTrees.fit
+        monkeypatch.setattr(
+            GradientBoostedTrees, "fit", lambda self, X, y: fits.append(len(X)) or real(self, X, y)
+        )
+
+        dag = gemm(128, 128, 128)
+        cost_model = ScheduleCostModel(seed=0)
+        restored = store.replay(dag, cost_model=cost_model)
+        assert cost_model.is_trained(dag.name) and fits == []
+        cost_model.predict(restored[:4])
+        cost_model.predict(restored[4:])
+        assert fits == [20]
 
     def test_replay_ignores_other_workloads(self, cpu, gemm_sketch, rng):
         store = RecordStore()
