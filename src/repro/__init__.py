@@ -21,7 +21,6 @@ pipeline and the persistent record store.
 
 from repro.caching import (
     cache_stats,
-    cached_lowering,
     cached_sketches,
     clear_caches,
     reset_cache_stats,
@@ -31,12 +30,9 @@ from repro.baselines import AnsorScheduler, FlextensorScheduler, SimulatedAnneal
 from repro.records import MeasureRecord, RecordStore, TuningRecord
 from repro.hardware import HardwareTarget, Measurer, cpu_target, gpu_target
 from repro.costmodel import ScheduleCostModel
-from repro.serving import (
-    ScheduleRegistry,
-    TuningRequest,
-    TuningService,
-    structural_fingerprint,
-)
+from repro.serving.fingerprint import structural_fingerprint
+from repro.serving.registry import ScheduleRegistry
+from repro.serving.service import TuningRequest, TuningService
 from repro.networks import NetworkGraph, Subgraph, build_bert, build_mobilenet_v2, build_resnet50
 from repro.tensor import (
     ComputeDAG,
@@ -80,7 +76,6 @@ __all__ = [
     "TuningResult",
     "__version__",
     "cache_stats",
-    "cached_lowering",
     "cached_sketches",
     "clear_caches",
     "reset_cache_stats",

@@ -1,17 +1,16 @@
 """Shared memoisation caches for the tuning hot path.
 
-The inner tuning loop recomputes several pure functions of the workload far
-more often than their inputs change: every scheduler job regenerates the
-sketch family of its workload, every registry transfer-adaptation call
-regenerates it again per candidate, registry hits re-lower stored schedules,
-and the structural fingerprint is recomputed on every submit / record /
-registry route.  This module centralises those memoisations so the caches —
-and their hit/miss counters — are shared across
+The inner tuning loop recomputes two pure functions of the workload far more
+often than their inputs change: every scheduler job regenerates the sketch
+family of its workload, every registry transfer-adaptation call regenerates
+it again per candidate, and the structural fingerprint is recomputed on
+every submit / record / registry route.  This module centralises those
+memoisations so the caches — and their hit/miss counters — are shared across
 :mod:`repro.core.scheduler`, :mod:`repro.serving.service`,
 :mod:`repro.serving.registry`, :mod:`repro.records` and
 :mod:`repro.experiments.network_runner`.
 
-Three caches live here:
+Two caches live here:
 
 * :func:`cached_sketches` — sketch generation, keyed by
   ``(workload name, structural fingerprint, spatial levels, reduction
@@ -19,8 +18,6 @@ Three caches live here:
   (4/2 on CPU, 5/3 on GPU), so the key is effectively *(workload, target)*.
   A hit returns the **identical** sketch-list object, which also shares the
   per-sketch feature/simulator layout caches across all consumers.
-* :func:`cached_lowering` — loop-nest pseudo-code rendering, keyed by the
-  schedule signature (which embeds the workload name).
 * fingerprint counters — :func:`repro.tensor.dag.structural_fingerprint`
   keeps its per-DAG-instance cache (the fastest possible storage) but
   reports hits and misses into :data:`fingerprint_stats`, so redundant
@@ -29,7 +26,7 @@ Three caches live here:
 All counters are exposed through :func:`cache_stats` and reset with
 :func:`reset_cache_stats`; the perf harness (``make perf``) records them in
 ``BENCH_perf.json`` and regression tests assert that one tuning round
-performs zero duplicate lowerings / sketch generations.
+performs zero duplicate sketch generations.
 """
 
 from __future__ import annotations
@@ -45,11 +42,9 @@ __all__ = [
     "CacheStats",
     "MemoCache",
     "sketch_cache",
-    "lowering_cache",
     "fingerprint_stats",
     "cached_sketches",
     "cached_sketches_for_target",
-    "cached_lowering",
     "cache_stats",
     "reset_cache_stats",
     "clear_caches",
@@ -156,8 +151,6 @@ class MemoCache:
 # --------------------------------------------------------------------- #
 #: Sketch families per (workload name, structural fingerprint, tiling depths).
 sketch_cache = MemoCache("sketches", maxsize=512)
-#: Lowered loop-nest pseudo-code per schedule signature.
-lowering_cache = MemoCache("lowering", maxsize=4096)
 #: Counters of :func:`repro.tensor.dag.structural_fingerprint` (the digest
 #: itself is cached on the DAG instance; only the bookkeeping lives here).
 fingerprint_stats = CacheStats("fingerprint")
@@ -196,29 +189,10 @@ def cached_sketches_for_target(dag, target) -> List:
     )
 
 
-def cached_lowering(schedule) -> str:
-    """Memoised :func:`repro.tensor.lowering.lower_schedule`.
-
-    Keyed by the workload's structural fingerprint plus the schedule
-    signature, so the same best schedule surfacing repeatedly — registry
-    answers, repeated ``finalize`` calls, report rendering — is lowered
-    once.  The fingerprint matters: ``Schedule.signature()`` alone keys on
-    the display name, and two same-named but structurally different
-    workloads (e.g. with and without an epilogue stage) must never share
-    lowered program text.
-    """
-    from repro.tensor.dag import structural_fingerprint
-    from repro.tensor.lowering import lower_schedule
-
-    key = (structural_fingerprint(schedule.dag), schedule.signature())
-    return lowering_cache.get_or_create(key, lambda: lower_schedule(schedule))
-
-
 def cache_stats() -> Dict[str, Dict[str, float]]:
     """Snapshot of every shared cache's counters, keyed by cache name."""
     return {
         sketch_cache.name: sketch_cache.stats.snapshot(),
-        lowering_cache.name: lowering_cache.stats.snapshot(),
         fingerprint_stats.name: fingerprint_stats.snapshot(),
     }
 
@@ -229,7 +203,7 @@ def _collect_cache_metrics() -> Dict[str, float]:
     The counters stay stored in the per-cache :class:`CacheStats` records
     (tests build private ``MemoCache`` instances and expect isolated,
     zero-started counters, so globally named instruments are the wrong
-    storage); a registry *collector* re-exposes the three process-wide
+    storage); a registry *collector* re-exposes the two process-wide
     caches under ``cache.<name>.<counter>`` at snapshot time, which makes
     ``cache_stats()`` a thin shim over the same numbers ``repro metrics``
     reports.
@@ -247,7 +221,6 @@ _register_collector("caching", _collect_cache_metrics)
 def reset_cache_stats() -> None:
     """Zero all counters (entries stay cached)."""
     sketch_cache.stats.reset()
-    lowering_cache.stats.reset()
     fingerprint_stats.reset()
 
 
@@ -255,4 +228,3 @@ def clear_caches() -> None:
     """Drop all cached entries (counters stay; call ``reset_cache_stats`` too
     for full isolation in tests)."""
     sketch_cache.clear()
-    lowering_cache.clear()

@@ -61,7 +61,7 @@ from repro.records import RecordStore
 from repro.serving.fingerprint import structural_fingerprint
 from repro.serving.registry import ScheduleRegistry
 from repro.serving.service import TuningRequest, TuningService
-from repro.caching import cached_lowering
+from repro.tensor.lowering import lower_schedule
 from repro import obs
 from repro.analysis import runner as analysis_runner
 
@@ -408,7 +408,7 @@ def _cmd_tune_op(args) -> int:
     ))
     if args.show_program and result.best_schedule is not None:
         print()
-        print(cached_lowering(result.best_schedule))
+        print(lower_schedule(result.best_schedule))
     if record_store is not None:
         record_store.close()
         print(f"\nrecords written to {args.records_out}")
@@ -758,7 +758,7 @@ def _cmd_metrics(args) -> int:
     }
     if caches:
         print("caches")
-        for name in ("sketches", "lowering", "fingerprint"):
+        for name in ("sketches", "fingerprint"):
             rate = caches.get(f"cache.{name}.hit_rate")
             if rate is not None:
                 print(f"  {name + ':':<13} hits={caches[f'cache.{name}.hits']} "

@@ -9,6 +9,7 @@ the metric / reporting helpers.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,6 +43,13 @@ def default_trials(paper_trials: int, fallback: int) -> int:
     if override:
         return max(1, int(override))
     return fallback
+
+
+def _record_store(records_dir: Optional[Union[str, Path]], name: str):
+    """Scheduler ``name``'s log under ``records_dir``, closed when the block exits."""
+    if records_dir is None:
+        return contextlib.nullcontext()
+    return RecordStore(Path(records_dir) / f"{name}.jsonl")
 
 
 @dataclass
@@ -103,9 +111,9 @@ def compare_on_operator(
     config = config or HARLConfig.scaled()
     results: Dict[str, TuningResult] = {}
     for name in schedulers:
-        store = None if records_dir is None else RecordStore(Path(records_dir) / f"{name}.jsonl")
-        scheduler = make_scheduler(name, target, config, seed, record_store=store)
-        results[name] = scheduler.tune(dag, n_trials)
+        with _record_store(records_dir, name) as store:
+            scheduler = make_scheduler(name, target, config, seed, record_store=store)
+            results[name] = scheduler.tune(dag, n_trials)
         if registry is not None:
             registry.record_result(dag, target, results[name], source=f"runner:{name}")
     return OperatorComparison(dag_name=dag.name, results=results)
@@ -131,9 +139,9 @@ def compare_on_network(
     config = config or HARLConfig.scaled()
     results: Dict[str, NetworkTuningResult] = {}
     for name in schedulers:
-        store = None if records_dir is None else RecordStore(Path(records_dir) / f"{name}.jsonl")
-        scheduler = make_scheduler(name, target, config, seed, record_store=store)
-        results[name] = scheduler.tune_network(network, n_trials)
+        with _record_store(records_dir, name) as store:
+            scheduler = make_scheduler(name, target, config, seed, record_store=store)
+            results[name] = scheduler.tune_network(network, n_trials)
         if registry is not None:
             for sg in network:
                 task_result = results[name].task_results.get(sg.name)

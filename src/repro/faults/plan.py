@@ -54,7 +54,7 @@ __all__ = [
 #: simulates.  ``poll`` rejects unknown names so hooks and plans cannot drift
 #: apart silently.
 FAULT_POINTS = {
-    "registry.append": "torn/partial shard append followed by process death",
+    "registry.append": "torn/partial shard append followed by process death or ENOSPC",
     "registry.compact": "crash mid-compaction (mid temp write or just before the atomic replace)",
     "records.flush": "ENOSPC or a slow-disk stall on a record-log flush",
     "service.advance": "process crash between a round commit and the job finish",

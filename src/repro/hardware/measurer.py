@@ -7,16 +7,13 @@ plus log-normal measurement noise, averaged over repeats so that at least
 Table 5), and it keeps global statistics: the number of measurement trials
 consumed and the best schedule found so far per workload.
 
-Measurement is batched:
-
-* **Noise is pre-drawn in submission order.**  Before a batch is evaluated,
-  one standard-normal noise draw per schedule is taken from the measurer's
-  sequential RNG.  Each measurement is then a *pure function* of (schedule,
-  target, noise parameters, draw), so how batches are split never changes
-  an outcome.
-* **Statistics are committed atomically per batch**, in submission order.
-  Trial counters, best-per-workload tracking and progress histories are
-  updated in one pass after the whole batch has been evaluated.
+Measurement is batched: :meth:`Measurer.measure` draws one standard-normal
+noise value per schedule from the measurer's sequential RNG, in submission
+order, scores the whole batch in one vectorised simulator pass, and then
+updates the trial counters, best-per-workload tracking and progress
+histories in submission order.  Each measurement depends only on its own
+schedule and draw, so measuring a batch at once or one schedule at a time
+gives the same outcomes.
 """
 
 from __future__ import annotations
@@ -30,11 +27,7 @@ from repro.hardware.simulator import LatencySimulator
 from repro.hardware.target import HardwareTarget
 from repro.tensor.schedule import Schedule
 
-__all__ = [
-    "MeasureResult",
-    "Measurer",
-    "simulate_measurement_batch",
-]
+__all__ = ["MeasureResult", "Measurer"]
 
 
 @dataclass(frozen=True)
@@ -76,45 +69,6 @@ class _WorkloadStats:
     best_schedule: Optional[Schedule] = None
     trials: int = 0
     history: List[Tuple[int, float]] = field(default_factory=list)
-
-
-def simulate_measurement_batch(
-    schedules: Sequence[Schedule],
-    simulator: LatencySimulator,
-    noise: float,
-    min_repeat_seconds: float,
-    max_repeats: int,
-    noise_draws: Sequence[float],
-) -> List[Tuple[float, int]]:
-    """Simulate hardware measurements of a whole batch in one vectorised pass.
-
-    A pure function: it touches no shared state and takes its randomness as
-    ``noise_draws`` (one standard-normal draw per schedule, from the
-    measurer's sequential RNG in submission order).  Each element depends
-    only on its own schedule and draw, so a batch may be split into
-    arbitrary chunks without changing any outcome.
-
-    The simulator consumes the batch through
-    :meth:`~repro.hardware.simulator.LatencySimulator.batch_latency` (one
-    NumPy pass per sketch group), and the ``r_min`` repeat and noise
-    arithmetic runs as array expressions.  Returns ``(latency, repeats)``
-    per schedule.
-    """
-    if not schedules:
-        return []
-    true_latencies = simulator.batch_latency(schedules)
-    repeats = np.clip(
-        np.ceil(min_repeat_seconds / np.maximum(true_latencies, 1e-9)),
-        1,
-        max_repeats,
-    ).astype(np.int64)
-    # Averaging `repeats` noisy samples shrinks the noise by sqrt(repeats).
-    effective_noise = noise / np.sqrt(repeats)
-    factors = np.exp(np.asarray(noise_draws, dtype=np.float64) * effective_noise)
-    measured = true_latencies * factors
-    return [
-        (float(latency), int(reps)) for latency, reps in zip(measured, repeats)
-    ]
 
 
 class Measurer:
@@ -166,33 +120,24 @@ class Measurer:
     def measure(self, schedules: Sequence[Schedule]) -> List[MeasureResult]:
         """Measure a batch of schedules, updating global trial statistics.
 
-        One noise draw per schedule is taken up front (in submission order),
-        the whole batch goes to the simulator in one vectorised pass, and the
-        statistics update is committed atomically in one pass afterwards.
+        One noise draw per schedule is taken up front (in submission order)
+        and the whole batch goes to the simulator in one vectorised pass;
+        the ``r_min`` repeat and noise arithmetic runs as array expressions,
+        and the statistics are then updated in submission order.
         """
         if not schedules:
             return []
-        draws = [float(self._rng.standard_normal()) for _ in schedules]
-        outcomes = simulate_measurement_batch(
-            schedules,
-            self.simulator,
-            self.noise,
-            self.min_repeat_seconds,
+        draws = self._rng.standard_normal(len(schedules))
+        true_latencies = self.simulator.batch_latency(schedules)
+        repeats = np.clip(
+            np.ceil(self.min_repeat_seconds / np.maximum(true_latencies, 1e-9)),
+            1,
             self.max_repeats,
-            draws,
-        )
-        return self._commit_batch(schedules, outcomes)
-
-    def _commit_batch(
-        self, schedules: Sequence[Schedule], outcomes: Sequence[Tuple[float, int]]
-    ) -> List[MeasureResult]:
-        """Fold a batch of measurement outcomes into the global statistics.
-
-        Runs in submission order, so trial counters, best-per-workload
-        tracking and the progress history are updated atomically per batch.
-        """
+        ).astype(np.int64)
+        # Averaging `repeats` noisy samples shrinks the noise by sqrt(repeats).
+        measured = true_latencies * np.exp(draws * (self.noise / np.sqrt(repeats)))
         results: List[MeasureResult] = []
-        for schedule, (latency, repeats) in zip(schedules, outcomes):
+        for schedule, latency, reps in zip(schedules, measured.tolist(), repeats.tolist()):
             self.total_trials += 1
             stats = self._stats.setdefault(schedule.dag.name, _WorkloadStats())
             stats.trials += 1
@@ -202,9 +147,9 @@ class Measurer:
             stats.history.append((self.total_trials, stats.best_latency))
             result = MeasureResult(
                 schedule=schedule,
-                latency=float(latency),
+                latency=latency,
                 throughput=float(schedule.dag.flops / latency),
-                repeats=repeats,
+                repeats=reps,
                 trial_index=self.total_trials,
             )
             results.append(result)

@@ -67,19 +67,15 @@ def schedule_to_dict(schedule: Schedule) -> dict:
 
 
 def schedule_from_dict(
-    data: dict, dag: ComputeDAG, sketch_cache: Optional[dict] = None,
-    check_workload: bool = True,
+    data: dict, dag: ComputeDAG, check_workload: bool = True
 ) -> Schedule:
     """Reconstruct a schedule against a compute DAG built by the caller.
 
     The DAG must describe the same workload the record was produced from
     (matching stage/iterator structure); the sketch is re-generated from the
-    stored rule key and tiling depths.
-
-    ``sketch_cache`` (an arbitrary caller-owned dict) memoises the generated
-    sketch lists per (tiling-depth) configuration, so bulk restores — e.g.
-    :meth:`RecordStore.replay` over thousands of log lines — regenerate each
-    sketch list once instead of once per record.
+    stored rule key and tiling depths (through :func:`cached_sketches`, so
+    bulk restores such as :meth:`RecordStore.replay` generate each sketch
+    list once).
 
     ``check_workload=False`` skips the display-name equality check; callers
     that already matched identities structurally (canonical fingerprints —
@@ -90,14 +86,11 @@ def schedule_from_dict(
         raise ValueError(
             f"record belongs to workload {data['workload']!r}, not {dag.name!r}"
         )
-    depths = (int(data["spatial_levels"]), int(data["reduction_levels"]))
-    sketches = None if sketch_cache is None else sketch_cache.get(depths)
-    if sketches is None:
-        sketches = cached_sketches(
-            dag, spatial_levels=depths[0], reduction_levels=depths[1]
-        )
-        if sketch_cache is not None:
-            sketch_cache[depths] = sketches
+    sketches = cached_sketches(
+        dag,
+        spatial_levels=int(data["spatial_levels"]),
+        reduction_levels=int(data["reduction_levels"]),
+    )
     matches = [s for s in sketches if s.key == data["sketch_key"]]
     if not matches:
         raise ValueError(
@@ -257,19 +250,13 @@ class MeasureRecord:
             embedding=tuple(float(v) for v in data.get("embedding", ())),
         )
 
-    def restore_schedule(
-        self, dag: ComputeDAG, sketch_cache: Optional[dict] = None,
-        check_workload: bool = True,
-    ) -> Schedule:
+    def restore_schedule(self, dag: ComputeDAG, check_workload: bool = True) -> Schedule:
         """Rebuild the measured schedule against a caller-provided DAG.
 
-        ``sketch_cache`` is forwarded to :func:`schedule_from_dict` to share
-        regenerated sketch lists across bulk restores; ``check_workload`` is
-        forwarded too (fingerprint-matched callers disable the name check).
+        ``check_workload`` is forwarded to :func:`schedule_from_dict`
+        (fingerprint-matched callers disable the name check).
         """
-        return schedule_from_dict(
-            self.schedule, dag, sketch_cache, check_workload=check_workload
-        )
+        return schedule_from_dict(self.schedule, dag, check_workload=check_workload)
 
 
 class RecordStore:
@@ -576,12 +563,11 @@ class RecordStore:
         throughputs: List[float] = []
         best_latency = float("inf")
         best_schedule: Optional[Schedule] = None
-        sketch_cache: dict = {}  # regenerate each sketch list once, not per record
         for record in matching:
             try:
                 # Identity was already matched structurally above, so restores
                 # go through even when the DAG was renamed since recording.
-                schedule = record.restore_schedule(dag, sketch_cache, check_workload=False)
+                schedule = record.restore_schedule(dag, check_workload=False)
             except ValueError:
                 continue  # sketch shape drifted since the log was written
             schedules.append(schedule)

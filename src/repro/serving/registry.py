@@ -76,6 +76,7 @@ from repro.jsonl import repair_torn_tail
 from repro.hardware.target import HardwareTarget
 from repro.obs.metrics import counter, histogram
 from repro.obs.trace import span as obs_span
+from repro.records import schedule_from_dict, schedule_to_dict
 from repro.serving.fingerprint import (
     EMBEDDING_SIZE,
     structural_fingerprint,
@@ -267,8 +268,7 @@ class _IndexEntry:
     Holds everything queries rank on (latency, embedding, has-schedule)
     without the parsed entry body; the body is materialised on demand by a
     ``seek``/``read`` at ``(path, offset, length)``.  ``offset < 0`` marks an
-    entry that lives only in memory (in-memory registries, or an append that
-    crashed between absorb and write on a dead object).
+    entry that lives only in memory (in-memory registries).
     """
 
     __slots__ = (
@@ -627,11 +627,17 @@ class ScheduleRegistry:
     # ------------------------------------------------------------------ #
     # appends
     # ------------------------------------------------------------------ #
-    def _append_locked(self, entry: RegistryEntry) -> None:
-        # Caller holds _mutex: the get-or-open handle dance and the
-        # write+flush+count must not interleave with another appender.
+    def _append_locked(self, entry: RegistryEntry) -> Tuple[Optional[Path], int, int]:
+        """Append one entry line; returns its ``(path, offset, length)``.
+
+        Caller holds _mutex: the get-or-open handle dance and the
+        write+flush+count must not interleave with another appender.  A
+        write that raises ``OSError`` (e.g. ENOSPC) truncates the shard back
+        to its pre-append length before re-raising, so the next append
+        starts a clean line instead of concatenating onto a partial one.
+        """
         if self.root is None:
-            return
+            return None, -1, 0
         began = time.perf_counter()
         shard = self._shard_of(entry.fingerprint)
         fh = self._handles.get(shard)
@@ -647,22 +653,27 @@ class ScheduleRegistry:
         fired = poll_fault(
             "registry.append", detail=f"shard-{shard:02d}:{entry.fingerprint}"
         )
-        if fired is not None:
-            if fired.spec.kind == "torn_write":
-                fh.write(fired.torn_prefix(line).encode("utf-8"))
-                fh.flush()
-            fired.crash(f"died appending {entry.fingerprint!r} to shard {shard}")
-        fh.write(data)
-        fh.flush()
+        try:
+            if fired is not None:
+                if fired.spec.kind in ("torn_write", "enospc"):
+                    fh.write(fired.torn_prefix(line).encode("utf-8"))
+                    fh.flush()
+                if fired.spec.kind == "enospc":
+                    fired.raise_enospc()
+                fired.crash(f"died appending {entry.fingerprint!r} to shard {shard}")
+            fh.write(data)
+            fh.flush()
+        except OSError:
+            try:
+                fh.truncate(offset)
+            except OSError:
+                pass  # the disk is truly wedged; load-time repair takes over
+            raise
         path = self._shard_path(shard)
-        ie = self._index.get(entry.key)
-        if ie is not None:
-            ie.path = path
-            ie.offset = offset
-            ie.length = len(data)
         self._indexed.add(path)
         self.total_lines += 1
         _APPEND.observe(time.perf_counter() - began)
+        return path, offset, len(data)
 
     # ------------------------------------------------------------------ #
     # recording
@@ -675,25 +686,31 @@ class ScheduleRegistry:
         """
         if not entry.fingerprint:
             raise ValueError("registry entries need a non-empty fingerprint")
-        # Absorb + append must commit together: a second writer slipping in
-        # between them could absorb a worse entry over the unappended best,
-        # or append a line the best map never saw.  The key's shard is
-        # indexed first so the on-disk best takes part in the comparison.
+        # Compare, append and absorb under one lock, disk before memory: a
+        # second writer slipping in could absorb a worse entry over the
+        # unappended best, and an append that raises leaves no entry the
+        # shard never got.  The key's shard is indexed first so the on-disk
+        # best takes part in the comparison.
         with self._mutex:
             self._ensure_key_indexed_locked(entry.fingerprint)
-            accepted = self._absorb_index_locked(
+            current = self._index.get(entry.key)
+            if current is not None and entry.latency >= current.latency:
+                return False
+            path, offset, length = self._append_locked(entry)
+            self._absorb_index_locked(
                 _IndexEntry(
                     fingerprint=entry.fingerprint,
                     target=sys.intern(entry.target),
                     latency=entry.latency,
                     has_schedule=entry.schedule is not None,
                     embedding=entry.embedding,
+                    path=path,
+                    offset=offset,
+                    length=length,
                 ),
                 entry,
             )
-            if accepted:
-                self._append_locked(entry)
-        return accepted
+        return True
 
     def record_result(
         self, dag: ComputeDAG, target, result, source: str = "", donor_target: str = ""
@@ -705,8 +722,6 @@ class ScheduleRegistry:
         the target(s) whose registered schedules warm-started this run.
         Results without a schedule or a finite latency are ignored.
         """
-        from repro.records import schedule_to_dict  # local import: records imports us
-
         if result.best_schedule is None or not (result.best_latency < float("inf")):
             return False
         target_name = target if isinstance(target, str) else target.name
@@ -1000,8 +1015,6 @@ class ScheduleRegistry:
         the destination device.  Candidates arrive best-first: exact hit,
         same-target relatives, cross-target donors.
         """
-        from repro.records import schedule_from_dict  # records imports us
-
         _TRANSFER_LOOKUPS.inc()
         target_name = target if isinstance(target, str) else target.name
         out: List[TransferCandidate] = []

@@ -2,8 +2,8 @@
 
 :class:`ServingServer` turns the in-process tuning service into a
 long-running TCP endpoint, so the paper's tuning-as-a-service story (O(1)
-registry hits, coalesced in-flight jobs, gradient-allocated budgets) holds
-for *real* concurrent clients over a wire.
+registry hits, coalesced in-flight jobs) holds for *real* concurrent
+clients over a wire.
 
 Wire protocol
 -------------
@@ -37,17 +37,18 @@ All admission decisions happen in the event loop, before any tuning work:
    from the event loop without consuming an admission slot, keeping the
    O(1) story intact under load.
 4. **Bounded admission** — at most ``max_inflight`` tuning requests hold
-   slots at once.  When saturated the server *sheds load* instead of
-   queueing without bound: the request is answered registry-only with an
-   explicit ``degraded: true`` flag (a stored best if one exists, the
-   error code ``overloaded`` otherwise).  A shed request is never left
-   hanging and never dropped silently.
+   slots at once; the event loop counts them in one loop-confined integer.
+   When saturated the server *sheds load* instead of queueing without
+   bound: the request is answered registry-only with an explicit
+   ``degraded: true`` flag (a stored best if one exists, the error code
+   ``overloaded`` otherwise).  A shed request is never left hanging and
+   never dropped silently.
 
 Admitted requests are driven by a small worker-thread pool through the
 service's ``submit``/``advance`` API; the handler awaits the worker with a
 ``request_timeout`` and answers the explicit error code ``timeout`` when it
-expires (the slot is released when the worker finishes, so a wedged backend
-still backpressures admission).
+expires (the slot is released when the worker's completion reaches the
+event loop, so a wedged backend still backpressures admission).
 
 Fault points: ``server.accept`` fires in the worker between dequeue and
 tuning (``slow_disk`` stalls the backend, ``crash`` drops the connection
@@ -148,6 +149,11 @@ class ServingServer:
         with ServingServer(service) as server:
             client = TuningClient("127.0.0.1", server.port)
             reply = client.tune("GEMM-S")
+
+    Admission is counted once, on the event loop: a tune request takes a
+    slot when it is admitted and gives it back in
+    :meth:`_complete_request`, which the worker posts to the loop when the
+    backend returns.  Workers never touch admission state.
     """
 
     def __init__(self, service: TuningService, config: Optional[ServerConfig] = None):
@@ -172,7 +178,6 @@ class ServingServer:
         # park the whole loop, not just one task.
         self._quota_used: Dict[str, int] = {}
         self._dags: Dict[Tuple[str, int], object] = {}
-        self._slots = threading.BoundedSemaphore(max(self.config.max_inflight, 1))
         self._inflight = 0
         self._work: "queue.Queue" = queue.Queue()
         self._workers: list = []
@@ -430,7 +435,7 @@ class ServingServer:
             return self._answer(request_id, self._entry_result(entry, source="registry-hit"))
 
         # 4. Bounded admission; saturated -> shed, never queue unboundedly.
-        if not self._slots.acquire(blocking=False):
+        if self._inflight >= max(self.config.max_inflight, 1):
             return self._shed_answer(request_id, dag, fingerprint, tenant, trials)
 
         self.accepted += 1
@@ -517,11 +522,12 @@ class ServingServer:
         """Loop-confined completion of one admitted request.
 
         Posted by workers via ``call_soon_threadsafe``: drops the inflight
-        count, settles the tenant's quota to actual consumption, and resolves
-        the handler's future — all on the loop thread, so none of the state
-        it touches needs a lock.  Quota is only settled when the backend
-        produced a real result (``trials_used`` present): an exception or a
-        dropped connection keeps the reservation, exactly as before.
+        count (which frees the admission slot), settles the tenant's quota to
+        actual consumption, and resolves the handler's future — all on the
+        loop thread, so none of the state it touches needs a lock.  Quota is
+        only settled when the backend produced a real result (``trials_used``
+        present): an exception or a dropped connection keeps the reservation,
+        exactly as before.
         """
         self._inflight -= 1
         _QUEUE_DEPTH.set(self._inflight)
@@ -542,8 +548,6 @@ class ServingServer:
                 payload = self._drive(dag, trials, tenant, force_tune)
             except Exception as exc:  # resolved as a wire error
                 payload = {"error": f"{type(exc).__name__}: {exc}"}
-            finally:
-                self._slots.release()
             try:
                 loop.call_soon_threadsafe(
                     self._complete_request, tenant, trials, future, payload

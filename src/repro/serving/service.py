@@ -31,15 +31,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines import make_scheduler
-from repro.caching import cached_lowering
 from repro.core.config import HARLConfig
 from repro.core.tuner import TuningResult
 from repro.faults.plan import InjectedCrash, poll as poll_fault
 from repro.hardware.target import HardwareTarget, cpu_target
 from repro.obs.metrics import counter, histogram
 from repro.obs.trace import span as obs_span, trace_event
+from repro.records import schedule_from_dict
 from repro.serving.fingerprint import structural_fingerprint
-from repro.serving.registry import ScheduleRegistry
+from repro.serving.registry import RegistryEntry, ScheduleRegistry
 from repro.tensor.dag import ComputeDAG
 
 __all__ = ["TuningRequest", "JobHandle", "TuningService"]
@@ -226,8 +226,6 @@ class TuningService:
         Called *outside* the service lock: restoring the stored schedule
         regenerates sketches, which must not serialize concurrent submits.
         """
-        from repro.records import schedule_from_dict
-
         schedule = None
         if entry.schedule is not None:
             try:
@@ -444,8 +442,6 @@ class TuningService:
         (the registry only accepts strict improvements); returns how many
         entries the registry accepted.
         """
-        from repro.serving.registry import RegistryEntry
-
         store = store if store is not None else self.record_store
         if store is None:
             return 0
@@ -487,8 +483,16 @@ class TuningService:
 
     def _finish_job_locked(self, job: _Job) -> None:
         # Caller holds job.drive_lock: finishing must not race another round.
-        with obs_span("service.finish", job=job.key[0][:12], workload=job.dag.name):
-            self._finish_job_inner_locked(job)
+        # A finalize or registry write that raises is handled like a failed
+        # round: the job is aborted, so its waiters resolve, then re-raised.
+        try:
+            with obs_span("service.finish", job=job.key[0][:12], workload=job.dag.name):
+                self._finish_job_inner_locked(job)
+        except InjectedCrash:
+            raise
+        except Exception as exc:
+            self._abort_job_locked(job, exc)
+            raise
         _JOBS_FINISHED.inc()
 
     def _finish_job_inner_locked(self, job: _Job) -> None:
@@ -496,11 +500,6 @@ class TuningService:
         result = job.scheduler.finalize(job.dag)
         result.extras["fingerprint"] = job.key[0]
         result.extras["tenants"] = list(job.tenants)
-        if result.best_schedule is not None:
-            # Lowered program text for clients / reports; memoised by schedule
-            # signature, so repeated finalizes of one job (or the same best
-            # schedule resurfacing across jobs) lower exactly once.
-            result.extras["program"] = cached_lowering(result.best_schedule)
         with self._lock:
             donors = self._transfer_donors.pop(job.key[0], [])
             warm_donors = self._warm_start_donors.pop(job.key[0], [])

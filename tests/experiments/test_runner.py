@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import HARLConfig
+from repro.experiments import runner
 from repro.experiments.runner import compare_on_network, compare_on_operator, default_trials
 from repro.networks.graph import NetworkGraph, Subgraph
 from repro.tensor.workloads import gemm, softmax
@@ -20,6 +21,20 @@ def tiny_network():
             Subgraph("soft", softmax(128, 64, name="runner_soft"), weight=2, similarity_group="softmax"),
         ],
     )
+
+
+@pytest.fixture
+def opened_stores(monkeypatch):
+    """Every ``RecordStore`` the runners open, in order."""
+    stores = []
+
+    class _Tracked(runner.RecordStore):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            stores.append(self)
+
+    monkeypatch.setattr(runner, "RecordStore", _Tracked)
+    return stores
 
 
 class TestDefaultTrials:
@@ -79,6 +94,14 @@ class TestOperatorComparison:
         assert persisted.best_latency == plain.best_latency
         assert persisted.history == plain.history
 
+    def test_records_dir_stores_are_closed(self, tiny_config, gemm_dag, tmp_path, opened_stores):
+        compare_on_operator(
+            gemm_dag, n_trials=8, config=tiny_config, seed=0,
+            schedulers=("ansor", "harl"), records_dir=tmp_path,
+        )
+        assert [store.path.name for store in opened_stores] == ["ansor.jsonl", "harl.jsonl"]
+        assert all(store._fh is None for store in opened_stores)
+
 
 class TestNetworkComparison:
     def test_runs_both_schedulers(self, tiny_config, tiny_network):
@@ -89,3 +112,13 @@ class TestNetworkComparison:
         for result in comparison.results.values():
             assert np.isfinite(result.best_latency)
         assert max(comparison.normalized_performance().values()) == pytest.approx(1.0)
+
+    def test_records_dir_stores_are_closed(
+        self, tiny_config, tiny_network, tmp_path, opened_stores
+    ):
+        compare_on_network(
+            tiny_network, n_trials=24, config=tiny_config, seed=0,
+            schedulers=("ansor", "harl"), records_dir=tmp_path,
+        )
+        assert [store.path.name for store in opened_stores] == ["ansor.jsonl", "harl.jsonl"]
+        assert all(store._fh is None for store in opened_stores)

@@ -66,6 +66,27 @@ class TestTornAppendRecovery:
         assert len(recovered.entries()) == 2
 
 
+class TestFailedAppendLeavesNoTrace:
+    def test_enospc_append_is_rolled_back_on_disk_and_in_memory(self, tmp_path):
+        root = tmp_path / "reg"
+        registry = ScheduleRegistry(root, num_shards=1)
+        good, failed, after = _entry(0, 2.0), _entry(1, 2.0), _entry(2, 2.0)
+        registry.record(good)
+        with inject(FaultPlan.single("registry.append", "enospc", seed=0)) as plan:
+            with pytest.raises(OSError, match="No space left"):
+                registry.record(failed)
+            assert plan.fired, "fault never fired — the append hook regressed"
+            # Memory agrees with disk: the entry that never landed is unknown.
+            assert registry.lookup(failed.fingerprint, failed.target, k=0).entry is None
+            assert registry.record(after)
+        registry.close()
+
+        reopened = ScheduleRegistry(root, num_shards=1, strict=True)
+        assert reopened.truncated_tails == 0
+        assert _best_map(reopened) == {good.key: 2.0, after.key: 2.0}
+        reopened.close()
+
+
 class TestTornTailOnEveryShard:
     """Satellite regression: loading tolerates a torn final line per shard."""
 

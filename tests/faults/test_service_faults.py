@@ -5,12 +5,16 @@ when the underlying tune raises, and a service crashed between ``advance``
 and ``finish`` must recover its job from the record store on restart.
 """
 
+import errno
+import os
+
 import pytest
 
 from repro.faults import FaultPlan, InjectedCrash, inject
 from repro.records import RecordStore
 from repro.serving.registry import ScheduleRegistry
 from repro.serving.service import (
+    SOURCE_COALESCED,
     SOURCE_REGISTRY,
     SOURCE_SCHEDULED,
     TuningRequest,
@@ -116,6 +120,43 @@ class TestWaitersReleasedOnError:
         assert handle.result.trials_used > 0
         assert handle.result.best_latency < float("inf")
         assert "died mid-tuning" in handle.result.extras["error"]
+
+
+class _FullDiskOnce(ScheduleRegistry):
+    """In-memory registry whose first ``record_result`` fails with ENOSPC."""
+
+    failures = 1
+
+    def record_result(self, *args, **kwargs):
+        if self.failures:
+            self.failures -= 1
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().record_result(*args, **kwargs)
+
+
+class TestFinishFailureReleasesWaiters:
+    def test_failed_registry_write_aborts_the_job(self, tiny_config):
+        service = TuningService(registry=_FullDiskOnce(), config=tiny_config, seed=0)
+        first = service.submit(TuningRequest(dag=gemm(64, 64, 64), n_trials=8))
+        twin = service.submit(
+            TuningRequest(dag=gemm(64, 64, 64, name="twin"), n_trials=8)
+        )
+        assert twin.source == SOURCE_COALESCED
+        with pytest.raises(OSError, match="No space left"):
+            service.run()
+
+        assert first.done and twin.done
+        for handle in (first, twin):
+            assert "No space left" in handle.result.extras["error"]
+        assert service.active_jobs() == 0
+        assert service.aborted_jobs == 1
+        assert service.run() == 0
+        # The abort salvaged the best-so-far, so a resubmission is answered
+        # from the registry instead of joining the dead job.
+        retry = service.submit(
+            TuningRequest(dag=gemm(64, 64, 64, name="retry"), n_trials=8)
+        )
+        assert retry.source == SOURCE_REGISTRY
 
 
 class TestCrashBetweenAdvanceAndFinish:

@@ -2,8 +2,8 @@
 
 The cache counters introduced with the perf overhaul make duplicate work
 observable, and these tests pin it at zero: one tuning round performs no
-duplicate lowerings, no duplicate sketch generations and no duplicate
-fingerprint digests in :class:`TuningService` and :class:`NetworkTuner`.
+duplicate sketch generations and no duplicate fingerprint digests in
+:class:`TuningService` and :class:`NetworkTuner`.
 """
 
 import pytest
@@ -11,7 +11,6 @@ import pytest
 from repro.caching import (
     clear_caches,
     fingerprint_stats,
-    lowering_cache,
     reset_cache_stats,
     sketch_cache,
 )
@@ -44,23 +43,6 @@ def _toy_network(name="counters"):
 
 
 class TestServiceCounters:
-    def test_zero_duplicate_lowerings_per_round(self, tiny_config):
-        """Each finished job lowers its best schedule exactly once."""
-        service = TuningService(config=tiny_config, seed=0)
-        dags = [gemm(48, 48, 48), conv1d(32, 8, 16, 3, 1, 1)]
-        handles = [
-            service.submit(TuningRequest(dag=dag, n_trials=8)) for dag in dags
-        ]
-        service.run()
-        finished = [h for h in handles if h.result.best_schedule is not None]
-        assert lowering_cache.stats.misses == len(finished)
-        # Repeated finalization must be pure cache traffic, never a relower.
-        for handle in handles:
-            service.finish(handle)
-        assert lowering_cache.stats.misses == len(finished)
-        for handle in finished:
-            assert "program" in handle.result.extras
-
     def test_fingerprint_computed_once_per_dag(self, tiny_config):
         """Submit + warm-start + registry recording share one digest per DAG."""
         service = TuningService(config=tiny_config, seed=0)
@@ -83,7 +65,6 @@ class TestServiceCounters:
         # the one (workload, target) the coalesced job actually tunes.
         assert fingerprint_stats.misses == len(dags)
         assert sketch_cache.stats.misses <= 2  # job context + registry restore
-        assert lowering_cache.stats.misses <= 1
 
 
 class TestNetworkTunerCounters:
@@ -101,13 +82,3 @@ class TestNetworkTunerCounters:
         report = NetworkTuner(_toy_network(), service2).tune(n_trials=16)
         assert report.registry_hits == 2
         assert sketch_cache.stats.misses == first_pass_misses
-
-    def test_lowering_deduped_across_passes(self, tiny_config):
-        registry = ScheduleRegistry()
-        service = TuningService(registry=registry, config=tiny_config, seed=0)
-        NetworkTuner(_toy_network(), service).tune(n_trials=16)
-        lowered = lowering_cache.stats.misses
-        assert lowered <= 2  # at most one program per tuned subgraph
-        service2 = TuningService(registry=registry, config=tiny_config, seed=1)
-        NetworkTuner(_toy_network(), service2).tune(n_trials=16)
-        assert lowering_cache.stats.misses == lowered

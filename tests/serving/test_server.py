@@ -227,6 +227,15 @@ class TestDegradedMode:
                 thread.join(timeout=10.0)
                 assert not thread.is_alive()
 
+            # The wedged request's completion gave its slot back: the next
+            # miss is admitted and tuned, not shed.
+            with TuningClient(server.host, server.port, timeout=30.0) as cli:
+                fresh = cli.tune("GEMM-M", trials=4)
+                assert fresh.ok and not fresh.degraded
+                assert fresh.source == "scheduled"
+            assert server.shed == 2
+            assert server.stats()["inflight"] == 0
+
 
 class TestFaultedBackend:
     def test_timeout_is_enforced_and_explicit(self, tiny_config):

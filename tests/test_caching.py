@@ -2,28 +2,23 @@
 
 The contract under test: a cache hit returns the *identical* stored object,
 keys embed everything that must invalidate (workload identity, target tiling
-depths, schedule signature), and counters account every lookup.
+depths), and counters account every lookup.
 """
 
-import numpy as np
 import pytest
 
 from repro.caching import (
     MemoCache,
     cache_stats,
-    cached_lowering,
     cached_sketches,
     cached_sketches_for_target,
     clear_caches,
     fingerprint_stats,
-    lowering_cache,
     reset_cache_stats,
     sketch_cache,
 )
 from repro.hardware.target import cpu_target, gpu_target
 from repro.tensor.dag import structural_fingerprint
-from repro.tensor.lowering import lower_schedule
-from repro.tensor.sampler import sample_schedule
 from repro.tensor.workloads import gemm
 
 
@@ -91,55 +86,6 @@ class TestCachedSketches:
         assert cached_sketches(dag) is not first
 
 
-class TestCachedLowering:
-    def test_hit_returns_identical_text(self, rng):
-        dag = gemm(64, 64, 64)
-        schedule = sample_schedule(cached_sketches(dag)[0], rng)
-        first = cached_lowering(schedule)
-        assert cached_lowering(schedule) is first
-        assert first == lower_schedule(schedule)
-        assert lowering_cache.stats.misses == 1
-        assert lowering_cache.stats.hits == 1
-
-    def test_same_name_different_structure_not_shared(self, rng):
-        """Same display name + same knobs must not collide across structures.
-
-        ``Schedule.signature()`` keys on the display name only; the lowering
-        cache additionally keys on the structural fingerprint so a workload
-        with an epilogue never serves the program text of its epilogue-free
-        namesake.
-        """
-        from repro.tensor.schedule import Schedule
-
-        bare = gemm(64, 64, 64, bias=False, name="twin")
-        fused = gemm(64, 64, 64, bias=True, name="twin")
-        bare_sketch = next(s for s in cached_sketches(bare) if s.key == "tiling")
-        fused_sketch = next(s for s in cached_sketches(fused) if s.key == "tiling")
-        first = sample_schedule(bare_sketch, rng)
-        twin = Schedule(
-            sketch=fused_sketch,
-            tile_sizes=[list(sizes) for sizes in first.tile_sizes],
-            compute_at_index=first.compute_at_index,
-            num_parallel=first.num_parallel,
-            unroll_index=first.unroll_index,
-            unroll_depths=first.unroll_depths,
-        )
-        assert first.signature() == twin.signature()
-        assert cached_lowering(first) != cached_lowering(twin)
-        assert lowering_cache.stats.misses == 2
-
-    def test_distinct_schedules_distinct_entries(self):
-        dag = gemm(64, 64, 64)
-        sketch = cached_sketches(dag)[0]
-        fixed_rng = np.random.default_rng(1)
-        schedules = [sample_schedule(sketch, fixed_rng) for _ in range(16)]
-        for schedule in schedules:
-            cached_lowering(schedule)
-        unique = len({s.signature() for s in schedules})
-        assert lowering_cache.stats.misses == unique
-        assert lowering_cache.stats.hits == len(schedules) - unique
-
-
 class TestFingerprintCounters:
     def test_first_computation_is_a_miss_then_hits(self):
         dag = gemm(96, 96, 96)
@@ -152,6 +98,6 @@ class TestFingerprintCounters:
 
     def test_snapshot_shape(self):
         stats = cache_stats()
-        assert set(stats) == {"sketches", "lowering", "fingerprint"}
+        assert set(stats) == {"sketches", "fingerprint"}
         for entry in stats.values():
             assert {"hits", "misses", "evictions", "hit_rate"} <= set(entry)
