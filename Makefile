@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test coverage bench bench-smoke bench-full serve-demo serve-load \
+.PHONY: test leak-check coverage bench bench-smoke bench-full serve-demo serve-load \
 	network-smoke network-demo perf perf-gate perf-scale lint gate analyze
 
 ## Tier-1 verification, the command CI runs: the unit/property/integration
@@ -12,6 +12,15 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 ## tests under benchmarks/, stopping at the first failure.
 test:
 	$(PYTHON) -m pytest -x -q
+
+## The fault and serving tests with every unclosed file an error (CI: a
+## step of the test job).  Each test closes the stores it opens, so a
+## ResourceWarning can only come from a handle the program leaks.  A warning
+## raised in a finalizer reaches pytest as an unraisable exception, hence the
+## second flag.
+leak-check:
+	$(PYTHON) -m pytest tests/faults tests/serving -q \
+		-W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning
 
 ## Line coverage over src/repro (requires pytest-cov).  The suite measures
 ## ~95% line coverage; the fail-under pin sits a safety margin below and

@@ -32,7 +32,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import AnyStr, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import counter
 from repro.obs.trace import trace_event
@@ -54,9 +54,9 @@ __all__ = [
 #: simulates.  ``poll`` rejects unknown names so hooks and plans cannot drift
 #: apart silently.
 FAULT_POINTS = {
-    "registry.append": "torn/partial shard append followed by process death or ENOSPC",
+    "registry.append": "shard append: torn write + death, ENOSPC, crash before writing, or slow disk",
     "registry.compact": "crash mid-compaction (mid temp write or just before the atomic replace)",
-    "records.flush": "ENOSPC or a slow-disk stall on a record-log flush",
+    "records.flush": "record-log append: torn write + death, ENOSPC, crash before writing, or slow disk",
     "service.advance": "process crash between a round commit and the job finish",
     "server.accept": "stall or drop of an admitted request before tuning starts",
     "server.shed": "failure while shedding load (answering registry-only)",
@@ -137,10 +137,10 @@ class FiredFault:
         self.plan = plan
         self.detail = detail
 
-    def torn_prefix(self, text: str) -> str:
+    def torn_prefix(self, text: AnyStr) -> AnyStr:
         """A strict prefix of an intended write (at least one byte is lost)."""
         if len(text) <= 1:
-            return ""
+            return text[:0]
         if self.spec.fraction is not None:
             cut = int(len(text) * self.spec.fraction)
         else:

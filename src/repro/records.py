@@ -4,12 +4,13 @@ Auto-scheduler users keep the best schedules found during long tuning runs so
 they can be re-applied without re-tuning.  :class:`RecordStore` is the one
 persisted format: an append-only JSONL log that streams every individual
 measurement (a ``"measure"`` line) and every final result (a ``"result"``
-line holding a :class:`TuningRecord`) to disk *as it happens*.  Because
-lines are appended and flushed eagerly, a killed tuning run loses at most the
-line being written; :meth:`RecordStore.load` tolerates a truncated or
-corrupted trailing line.  A store can be replayed into a fresh scheduler
-(warm-starting its cost model and best-schedule statistics), which is what
-powers the CLI's ``--records-out`` / ``--resume-from`` flags.
+line holding a :class:`TuningRecord`) to disk *as it happens*.  Lines are
+appended and flushed eagerly, so a killed tuning run loses at most the line
+being written; :meth:`RecordStore.load` repairs a torn final line and skips
+corrupted ones (:mod:`repro.jsonl` holds that appender, reader and repair,
+shared with the schedule registry).  A store can be replayed into a fresh
+scheduler (warm-starting its cost model and best-schedule statistics), which
+is what powers the CLI's ``--records-out`` / ``--resume-from`` flags.
 
 Schedules are serialised structurally (sketch key, tiling depths, knob
 values) and restored against a freshly-built compute DAG of the same
@@ -18,17 +19,16 @@ workload.
 
 from __future__ import annotations
 
-import io
 import json
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.core.tuner import TuningResult
 from repro.faults.plan import poll as poll_fault
-from repro.jsonl import repair_torn_tail
+from repro.jsonl import AppendLog, read_lines, repair_torn_tail
 from repro.obs.metrics import counter, histogram
 from repro.serving.fingerprint import structural_fingerprint, workload_embedding
 from repro.tensor.dag import ComputeDAG
@@ -259,6 +259,16 @@ class MeasureRecord:
         return schedule_from_dict(self.schedule, dag, check_workload=check_workload)
 
 
+def _record_from_dict(data: dict) -> Union[MeasureRecord, TuningRecord]:
+    """The record one log line holds, by its ``kind`` tag."""
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind == "measure":
+        return MeasureRecord.from_dict(data)
+    if kind == "result":
+        return TuningRecord.from_dict(data)
+    raise ValueError(f"unknown record kind {kind!r}")
+
+
 class RecordStore:
     """Append-only JSONL store of measurements and tuning results.
 
@@ -276,9 +286,9 @@ class RecordStore:
         makes resumed runs accumulate into one file.  ``None`` keeps the
         store purely in memory.
     strict:
-        When true, corrupted (non-JSON or structurally invalid) lines raise
-        :class:`ValueError` at load time; when false (the default) they are
-        skipped and counted in :attr:`skipped_lines`.
+        When true, corrupted (not UTF-8, not JSON or structurally invalid)
+        lines raise :class:`ValueError` at load time; when false (the
+        default) they are skipped and counted in :attr:`skipped_lines`.
     """
 
     #: Flushes slower than this (seconds) are counted in ``slow_flushes`` —
@@ -298,13 +308,22 @@ class RecordStore:
         self.flush_failures = 0  # guarded-by: _lock
         self._measures: List[MeasureRecord] = []  # guarded-by: _lock
         self._results: List[TuningRecord] = []  # guarded-by: _lock
-        self._fh: Optional[IO[str]] = None
+        self._log = AppendLog(self.path) if self.path is not None else None
         if self.path is not None and self.path.exists():
             # A run killed mid-append leaves a torn final line; truncate it so
             # this process never appends onto a partial write.
             if repair_torn_tail(self.path, label="record store"):
                 self.truncated_tails += 1
-            self._load_lines_locked(self.path.read_text())
+            for _lineno, _offset, _length, record in read_lines(
+                self.path.read_bytes(), _record_from_dict,
+                strict=self.strict, path=self.path, what="record",
+            ):
+                if record is None:
+                    self.skipped_lines += 1
+                elif isinstance(record, MeasureRecord):
+                    self._measures.append(record)
+                else:
+                    self._results.append(record)
 
     # ------------------------------------------------------------------ #
     # loading
@@ -317,70 +336,26 @@ class RecordStore:
             raise FileNotFoundError(f"record store {path} does not exist")
         return cls(path, strict=strict)
 
-    def _load_lines_locked(self, text: str) -> None:
-        # Caller holds _lock (or the store is not yet published: __init__).
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-                kind = data.get("kind")
-                if kind == "measure":
-                    self._measures.append(MeasureRecord.from_dict(data))
-                elif kind == "result":
-                    self._results.append(TuningRecord.from_dict(data))
-                else:
-                    raise ValueError(f"unknown record kind {kind!r}")
-            except (ValueError, KeyError, TypeError) as exc:
-                if self.strict:
-                    raise ValueError(
-                        f"corrupted record at {self.path}:{lineno}: {exc}"
-                    ) from exc
-                self.skipped_lines += 1
-
     # ------------------------------------------------------------------ #
     # appending
     # ------------------------------------------------------------------ #
-    def _write_line_locked(self, payload: dict) -> None:
-        """Durably append one line, keeping the log well-formed on failure.
+    def _append_locked(self, payload: dict) -> None:
+        """Durably append one line (caller holds ``_lock``).
 
-        Caller holds ``_lock``: the seek/tell/write/flush/rollback sequence
-        below assumes no concurrent append moves the file position.
-
-        A flush that fails (e.g. ENOSPC) may have written a partial line; the
-        log is rolled back to its pre-append length before the error is
-        re-raised, so a later retry appends a clean, complete line instead of
-        concatenating onto the partial one (which would corrupt the retried
-        record itself).  Load-time torn-tail repair remains the backstop when
-        even the rollback cannot complete.
+        The fault poll and the append are timed together, so an injected
+        slow-disk stall counts as a slow flush; an ``OSError`` (already
+        rolled back by the log) counts as a flush failure.
         """
-        if self.path is None:
+        if self._log is None:
             return
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self.path.open("a", encoding="utf-8")
-        line = json.dumps(payload) + "\n"
-        # "a" mode leaves the initial position platform-defined; pin it to the
-        # end so the rollback offset below is trustworthy.
-        self._fh.seek(0, io.SEEK_END)
-        committed = self._fh.tell()
+        line = (json.dumps(payload) + "\n").encode("utf-8")
         began = time.perf_counter()
         try:
-            fired = poll_fault("records.flush", detail=str(payload.get("kind", "")))
-            if fired is not None:
-                if fired.spec.kind == "slow_disk":
-                    fired.sleep()
-                elif fired.spec.kind == "enospc":
-                    self._fh.write(fired.torn_prefix(line))
-                    self._fh.flush()
-                    fired.raise_enospc()
-            self._fh.write(line)
-            self._fh.flush()
+            fired = poll_fault("records.flush", detail=payload["kind"])
+            self._log.append(line, fired)
         except OSError:
             self.flush_failures += 1
             _FLUSH_FAILURES.inc()
-            self._rollback_to(committed)
             raise
         elapsed = time.perf_counter() - began
         _APPENDS.inc()
@@ -388,14 +363,6 @@ class RecordStore:
         if elapsed > self.slow_flush_threshold:
             self.slow_flushes += 1
             _SLOW_FLUSHES.inc()
-
-    def _rollback_to(self, offset: int) -> None:
-        """Best-effort truncation of a partial append back to ``offset``."""
-        assert self._fh is not None
-        try:
-            self._fh.truncate(offset)
-        except OSError:
-            pass  # the disk is truly wedged; load-time repair takes over
 
     def append_measure(self, record: MeasureRecord) -> None:
         """Append one measurement record to the log.
@@ -405,7 +372,7 @@ class RecordStore:
         committed), so callers can retry without double counting.
         """
         with self._lock:
-            self._write_line_locked({"kind": "measure", **record.to_dict()})
+            self._append_locked({"kind": "measure", **record.to_dict()})
             self._measures.append(record)
 
     def append_result(self, record: Union[TuningRecord, TuningResult]) -> None:
@@ -413,7 +380,7 @@ class RecordStore:
         if isinstance(record, TuningResult):
             record = result_to_record(record)
         with self._lock:
-            self._write_line_locked({"kind": "result", **record.to_dict()})
+            self._append_locked({"kind": "result", **record.to_dict()})
             self._results.append(record)
 
     def record_measure(self, result, scheduler: str = "") -> None:
@@ -584,9 +551,8 @@ class RecordStore:
     # ------------------------------------------------------------------ #
     def close(self) -> None:
         """Close the backing file handle (idempotent)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        if self._log is not None:
+            self._log.close()
 
     def __enter__(self) -> "RecordStore":
         return self

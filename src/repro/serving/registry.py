@@ -10,8 +10,8 @@ Storage model
 -------------
 Entries live in ``num_shards`` append-only JSONL shard files under one
 directory, sharded by fingerprint prefix so concurrent writers on different
-workloads rarely touch the same file.  Appends are single ``write`` +
-``flush`` calls of one line, the same crash-tolerant discipline as
+workloads rarely touch the same file.  Shards are appended and read through
+:mod:`repro.jsonl`, the same appender and line reader as
 :class:`~repro.records.RecordStore`; corrupted lines are skipped (and
 counted) at load time.  An improvement to a key appends a new line rather
 than rewriting the shard, so files grow monotonically until
@@ -41,18 +41,18 @@ Entries whose embedding is missing or not
 foreign writer) stay out of that matrix and match only by exact fingerprint.
 :meth:`warm_start_schedules` packages lookup results into ready-to-measure
 :class:`~repro.tensor.schedule.Schedule` objects (tile sizes are re-fitted
-to the new extents when the relative's shape differs).
+to the new extents when the relative's shape differs) through the pure
+functions of :mod:`repro.serving.transfer`.
 
 When a target has no registered entries yet, the transfer search falls back
 *across* targets: donors are ranked by the sum of workload embedding
 distance and hardware :func:`~repro.hardware.catalog.target_distance`
 (so a close cousin device with the exact workload beats a remote device, and
 same-kind donors always beat cross-kind ones), and the borrowed schedule is
-re-fitted to the destination device — tiling depths, innermost tile sizes
-rounded to the destination ``vector_width``, register/L1 working set shrunk
-to its cache capacities, and the unroll depth mapped onto the destination's
-candidate list.  Results recorded after a cross-target warm start carry the
-donor target in their provenance (``RegistryEntry.donor_target``).
+re-fitted to the destination device by
+:func:`~repro.serving.transfer.adapt_schedule_to_target`.  Results recorded
+after a cross-target warm start carry the donor target in their provenance
+(``RegistryEntry.donor_target``).
 """
 
 from __future__ import annotations
@@ -65,14 +65,13 @@ import time
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import IO, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.caching import cached_sketches
 from repro.faults.plan import poll as poll_fault
 from repro.hardware.catalog import default_catalog, target_distance
-from repro.jsonl import repair_torn_tail
+from repro.jsonl import AppendLog, read_lines, repair_torn_tail
 from repro.hardware.target import HardwareTarget
 from repro.obs.metrics import counter, histogram
 from repro.obs.trace import span as obs_span
@@ -82,8 +81,8 @@ from repro.serving.fingerprint import (
     structural_fingerprint,
     workload_embedding,
 )
-from repro.tensor.dag import DTYPE_BYTES, ComputeDAG
-from repro.tensor.factors import prime_factors, product
+from repro.serving.transfer import adapt_schedule, adapt_schedule_to_target, target_variants
+from repro.tensor.dag import ComputeDAG
 from repro.tensor.schedule import Schedule
 
 __all__ = [
@@ -227,41 +226,6 @@ class LookupResult:
         return self.source != "miss"
 
 
-def _reshape_reference(reference: Sequence[int], levels: int) -> List[int]:
-    """Re-shape a donor tile-size list to a new tiling depth.
-
-    Innermost (vector / register) tiles carry the transferable structure, so
-    surplus *outer* levels are folded together and missing outer levels are
-    padded with 1 — the innermost entries always survive verbatim.
-    """
-    ref = [max(int(v), 1) for v in reference]
-    if len(ref) > levels:
-        keep = levels - 1
-        ref = [product(ref[: len(ref) - keep])] + ref[len(ref) - keep:]
-    elif len(ref) < levels:
-        ref = [1] * (levels - len(ref)) + ref
-    return ref
-
-
-def _fit_tile_sizes(extent: int, levels: int, reference: Sequence[int]) -> List[int]:
-    """Re-fit a reference tile-size list to a new extent.
-
-    Distributes the prime factors of ``extent`` (largest first) over
-    ``levels`` slots, greedily assigning each factor to the slot furthest
-    below its reference size, so the shape of the borrowed tiling is
-    preserved as closely as the new extent's factorisation allows.  The
-    result always multiplies to ``extent`` exactly.
-    """
-    reference = list(reference) + [1] * (levels - len(reference))
-    sizes = [1] * levels
-    for p in sorted(prime_factors(extent), reverse=True):
-        ratios = [reference[i] / sizes[i] for i in range(levels)]
-        slot = max(range(levels), key=lambda i: (ratios[i], i))
-        sizes[slot] *= p
-    assert product(sizes) == extent
-    return sizes
-
-
 class _IndexEntry:
     """Light in-memory index record of one key's best on-disk line.
 
@@ -283,21 +247,13 @@ class _IndexEntry:
     )
 
     def __init__(
-        self,
-        fingerprint: str,
-        target: str,
-        latency: float,
-        has_schedule: bool,
-        embedding: Tuple[float, ...],
-        path: Optional[Path] = None,
-        offset: int = -1,
-        length: int = 0,
+        self, entry: RegistryEntry, path: Optional[Path], offset: int, length: int
     ):
-        self.fingerprint = fingerprint
-        self.target = target
-        self.latency = latency
-        self.has_schedule = has_schedule
-        self.embedding = embedding
+        self.fingerprint = entry.fingerprint
+        self.target = sys.intern(entry.target)
+        self.latency = entry.latency
+        self.has_schedule = entry.schedule is not None
+        self.embedding = entry.embedding
         self.path = path
         self.offset = offset
         self.length = length
@@ -400,7 +356,8 @@ class ScheduleRegistry:
         self._all_indexed = False  # guarded-by: _mutex
         self._native = True  # guarded-by: _mutex
         self._manifest_ok = False  # guarded-by: _mutex
-        self._handles: Dict[int, IO[bytes]] = {}  # guarded-by: _mutex
+        #: one append log per shard, opened on its first append
+        self._logs: Dict[int, AppendLog] = {}  # guarded-by: _mutex
         #: one read handle per shard file, opened on its first entry read
         self._read_handles: Dict[Path, IO[bytes]] = {}  # guarded-by: _mutex
         if self.root is not None and self.root.exists():
@@ -539,43 +496,19 @@ class ScheduleRegistry:
         self._all_indexed = True
 
     def _index_file_locked(self, path: Path) -> None:
+        """Scan one shard file into the index, keeping each line's span."""
         began = time.perf_counter()
-        self._scan_lines_locked(path, path.read_bytes())
+        for _lineno, offset, length, entry in read_lines(
+            path.read_bytes(), RegistryEntry.from_dict,
+            strict=self.strict, path=path, what="registry entry",
+        ):
+            self.total_lines += 1
+            if entry is None:
+                self.skipped_lines += 1
+            else:
+                self._absorb_index_locked(_IndexEntry(entry, path, offset, length), None)
         self._indexed.add(path)
         _SHARD_LOAD.observe(time.perf_counter() - began)
-
-    def _scan_lines_locked(self, path: Path, blob: bytes) -> None:
-        """Parse raw shard bytes into the index, tracking line offsets."""
-        pos = 0
-        for lineno, raw in enumerate(blob.splitlines(keepends=True), start=1):
-            offset = pos
-            pos += len(raw)
-            text = raw.strip()
-            if not text:
-                continue
-            self.total_lines += 1
-            try:
-                entry = RegistryEntry.from_dict(json.loads(text))
-            except (ValueError, KeyError, TypeError) as exc:
-                if self.strict:
-                    raise ValueError(
-                        f"corrupted registry entry at {path}:{lineno}: {exc}"
-                    ) from exc
-                self.skipped_lines += 1
-                continue
-            self._absorb_index_locked(
-                _IndexEntry(
-                    fingerprint=entry.fingerprint,
-                    target=sys.intern(entry.target),
-                    latency=entry.latency,
-                    has_schedule=entry.schedule is not None,
-                    embedding=entry.embedding,
-                    path=path,
-                    offset=offset,
-                    length=len(raw),
-                ),
-                None,
-            )
 
     def _absorb_index_locked(
         self, ie: _IndexEntry, entry: Optional[RegistryEntry]
@@ -627,53 +560,31 @@ class ScheduleRegistry:
     # ------------------------------------------------------------------ #
     # appends
     # ------------------------------------------------------------------ #
-    def _append_locked(self, entry: RegistryEntry) -> Tuple[Optional[Path], int, int]:
-        """Append one entry line; returns its ``(path, offset, length)``.
+    def _append_locked(self, entry: RegistryEntry) -> _IndexEntry:
+        """Append one entry line; returns its index record (path, offset, length).
 
-        Caller holds _mutex: the get-or-open handle dance and the
-        write+flush+count must not interleave with another appender.  A
-        write that raises ``OSError`` (e.g. ENOSPC) truncates the shard back
-        to its pre-append length before re-raising, so the next append
-        starts a clean line instead of concatenating onto a partial one.
+        Caller holds _mutex: opening a shard's log (after the manifest) and
+        the append must not interleave with another appender.
         """
         if self.root is None:
-            return None, -1, 0
+            return _IndexEntry(entry, None, -1, 0)
         began = time.perf_counter()
         shard = self._shard_of(entry.fingerprint)
-        fh = self._handles.get(shard)
-        if fh is None:
+        log = self._logs.get(shard)
+        if log is None:
             self.root.mkdir(parents=True, exist_ok=True)
             if self._native and not self._manifest_ok:
                 self._write_manifest_locked()
-            fh = self._shard_path(shard).open("ab")
-            self._handles[shard] = fh
-        line = json.dumps(entry.to_dict()) + "\n"
-        data = line.encode("utf-8")
-        offset = fh.seek(0, os.SEEK_END)
+            log = self._logs[shard] = AppendLog(self._shard_path(shard))
+        line = (json.dumps(entry.to_dict()) + "\n").encode("utf-8")
         fired = poll_fault(
             "registry.append", detail=f"shard-{shard:02d}:{entry.fingerprint}"
         )
-        try:
-            if fired is not None:
-                if fired.spec.kind in ("torn_write", "enospc"):
-                    fh.write(fired.torn_prefix(line).encode("utf-8"))
-                    fh.flush()
-                if fired.spec.kind == "enospc":
-                    fired.raise_enospc()
-                fired.crash(f"died appending {entry.fingerprint!r} to shard {shard}")
-            fh.write(data)
-            fh.flush()
-        except OSError:
-            try:
-                fh.truncate(offset)
-            except OSError:
-                pass  # the disk is truly wedged; load-time repair takes over
-            raise
-        path = self._shard_path(shard)
-        self._indexed.add(path)
+        offset = log.append(line, fired)
+        self._indexed.add(log.path)
         self.total_lines += 1
         _APPEND.observe(time.perf_counter() - began)
-        return path, offset, len(data)
+        return _IndexEntry(entry, log.path, offset, len(line))
 
     # ------------------------------------------------------------------ #
     # recording
@@ -696,20 +607,7 @@ class ScheduleRegistry:
             current = self._index.get(entry.key)
             if current is not None and entry.latency >= current.latency:
                 return False
-            path, offset, length = self._append_locked(entry)
-            self._absorb_index_locked(
-                _IndexEntry(
-                    fingerprint=entry.fingerprint,
-                    target=sys.intern(entry.target),
-                    latency=entry.latency,
-                    has_schedule=entry.schedule is not None,
-                    embedding=entry.embedding,
-                    path=path,
-                    offset=offset,
-                    length=length,
-                ),
-                entry,
-            )
+            self._absorb_index_locked(self._append_locked(entry), entry)
         return True
 
     def record_result(
@@ -1042,7 +940,7 @@ class ScheduleRegistry:
                 break
             if entry.schedule is None:
                 continue
-            adapted = self._adapt_schedule(entry.schedule, dag)
+            adapted = adapt_schedule(entry.schedule, dag)
             if adapted is not None:
                 push(adapted, entry, 0.0, False)
         if cross_target and len(out) < max_candidates and isinstance(target, HardwareTarget):
@@ -1051,11 +949,9 @@ class ScheduleRegistry:
             for t_dist, entry in self._cross_target_impl(
                 dag, target, catalog=catalog, k=remaining
             ):
-                adapted = self._adapt_schedule_to_target(entry.schedule, dag, target)
+                adapted = adapt_schedule_to_target(entry.schedule, dag, target)
                 if adapted is not None:
-                    donors.append(
-                        (entry, t_dist, self._target_variants(adapted, remaining))
-                    )
+                    donors.append((entry, t_dist, target_variants(adapted, remaining)))
             # Round-robin across donors: every donor's straight adaptation is
             # proposed before any donor's ensemble variants, so one donor
             # cannot crowd the others out of the measurement budget.
@@ -1088,175 +984,6 @@ class ScheduleRegistry:
             )
         ]
 
-    @staticmethod
-    def _adapt_schedule(data: dict, dag: ComputeDAG) -> Optional[Schedule]:
-        """Transfer a stored schedule onto a structurally *similar* DAG.
-
-        Regenerates the sketch family of ``dag`` at the stored tiling depths,
-        picks the stored sketch rule if it exists, and re-fits every tile-size
-        list to the new iterator extents; knob indices are clamped to the new
-        valid ranges.  Returns ``None`` when no sketch of ``dag`` matches the
-        stored rule (e.g. a fusion sketch borrowed for a fusion-free DAG).
-        """
-        try:
-            sketches = cached_sketches(
-                dag,
-                spatial_levels=int(data["spatial_levels"]),
-                reduction_levels=int(data["reduction_levels"]),
-            )
-        except (KeyError, TypeError, ValueError):
-            return None
-        matches = [s for s in sketches if s.key == data.get("sketch_key")]
-        if not matches:
-            return None
-        sketch = matches[0]
-        try:
-            reference = [list(map(int, sizes)) for sizes in data.get("tile_sizes", [])]
-            tile_sizes: List[List[int]] = []
-            for idx, (_name, _kind, extent, levels) in enumerate(sketch.tiled_iters):
-                ref = reference[idx] if idx < len(reference) else []
-                tile_sizes.append(_fit_tile_sizes(int(extent), int(levels), ref))
-            n_candidates = len(dag.compute_at_candidates())
-            max_parallel = len(dag.main_stage.spatial_iters)
-            unroll_depths = tuple(int(d) for d in data.get("unroll_depths", (0,)))
-            return Schedule(
-                sketch=sketch,
-                tile_sizes=tile_sizes,
-                compute_at_index=min(int(data.get("compute_at_index", 0)), n_candidates - 1),
-                num_parallel=min(int(data.get("num_parallel", 1)), max_parallel),
-                unroll_index=min(
-                    int(data.get("unroll_index", 0)), len(unroll_depths) - 1
-                ),
-                unroll_depths=unroll_depths,
-            )
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    @staticmethod
-    def _target_variants(schedule: Schedule, limit: int) -> List[Schedule]:
-        """Small ensemble of near variants of one transferred schedule.
-
-        Cross-target transfer is uncertain — the donor's optimal unroll depth
-        and parallelism rarely survive a change of vector width, cache sizes
-        or core count exactly — so the straight adaptation is proposed
-        together with its unroll and parallelism neighbours and the
-        destination's measurements arbitrate.  The straight adaptation is
-        always first.
-        """
-        out = [schedule]
-        for index in range(len(schedule.unroll_depths)):
-            if index != schedule.unroll_index:
-                variant = schedule.copy()
-                variant.unroll_index = index
-                out.append(variant)
-        if schedule.num_parallel > 1:
-            variant = schedule.copy()
-            variant.num_parallel = schedule.num_parallel - 1
-            out.append(variant)
-        if schedule.num_parallel < schedule.max_parallel:
-            variant = schedule.copy()
-            variant.num_parallel = schedule.num_parallel + 1
-            out.append(variant)
-        return out[: max(limit, 0)]
-
-    @staticmethod
-    def _adapt_schedule_to_target(
-        data: dict, dag: ComputeDAG, target: HardwareTarget
-    ) -> Optional[Schedule]:
-        """Transfer a stored schedule onto a *different* hardware target.
-
-        Unlike :meth:`_adapt_schedule` (same target, similar workload), the
-        donor's tiling depths, vector width, cache capacities and unroll
-        candidates may all differ from the destination's.  The sketch family
-        is regenerated at the destination's tiling depths; each donor
-        tile-size list is re-shaped to the new depth (innermost tiles
-        preserved), the innermost spatial tile is rounded to a multiple of
-        the destination ``vector_width``, the register/L1 working set is
-        shrunk until it fits ``l1_bytes``, and the unroll depth is mapped to
-        the nearest destination candidate.  Returns ``None`` when no sketch
-        of ``dag`` at the destination depths matches the stored rule.
-        """
-        try:
-            sketches = cached_sketches(
-                dag,
-                spatial_levels=target.sketch_spatial_levels,
-                reduction_levels=target.sketch_reduction_levels,
-            )
-        except (TypeError, ValueError):
-            return None
-        matches = [s for s in sketches if s.key == data.get("sketch_key")]
-        if not matches:
-            return None
-        sketch = matches[0]
-        try:
-            reference = [list(map(int, sizes)) for sizes in data.get("tile_sizes", [])]
-            refs: List[List[int]] = []
-            for idx, (_name, _kind, _extent, levels) in enumerate(sketch.tiled_iters):
-                ref = reference[idx] if idx < len(reference) else []
-                refs.append(_reshape_reference(ref, levels))
-
-            spatial_idx = [
-                i for i, (_n, kind, _e, _l) in enumerate(sketch.tiled_iters)
-                if kind == "spatial"
-            ]
-            reduction_idx = [
-                i for i, (_n, kind, _e, _l) in enumerate(sketch.tiled_iters)
-                if kind == "reduction"
-            ]
-            vw = target.vector_width
-            if spatial_idx:
-                # The innermost spatial tile is the vectorised axis: round the
-                # donor's size to a whole number of destination SIMD lanes.
-                vec = refs[spatial_idx[-1]]
-                vec[-1] = max(vw, vw * max(1, round(vec[-1] / vw)))
-            # Shrink the register/L1 tile until it fits the destination cache:
-            # the footprint is the innermost spatial tile volume streamed over
-            # the innermost reduction tile (cf. the simulator's cache model).
-            def l1_footprint() -> float:
-                sp = product([refs[i][-1] for i in spatial_idx]) if spatial_idx else 1
-                red = product([refs[i][-1] for i in reduction_idx]) if reduction_idx else 1
-                return DTYPE_BYTES * sp * max(red, 1)
-
-            while l1_footprint() > target.l1_bytes:
-                shrinkable = [
-                    i for i in spatial_idx + reduction_idx
-                    if refs[i][-1] > (vw if spatial_idx and i == spatial_idx[-1] else 1)
-                ]
-                if not shrinkable:
-                    break
-                largest = max(shrinkable, key=lambda i: refs[i][-1])
-                value = refs[largest][-1] // 2
-                if spatial_idx and largest == spatial_idx[-1]:
-                    # The vectorised axis must stay a whole number of lanes.
-                    value = max(vw * (value // vw), vw)
-                refs[largest][-1] = max(value, 1)
-
-            tile_sizes = [
-                _fit_tile_sizes(int(extent), int(levels), refs[idx])
-                for idx, (_name, _kind, extent, levels) in enumerate(sketch.tiled_iters)
-            ]
-
-            donor_depths = [int(d) for d in data.get("unroll_depths", (0,))] or [0]
-            donor_index = min(int(data.get("unroll_index", 0)), len(donor_depths) - 1)
-            donor_depth = donor_depths[max(donor_index, 0)]
-            depths = target.unroll_depths
-            unroll_index = min(
-                range(len(depths)), key=lambda i: (abs(depths[i] - donor_depth), i)
-            )
-
-            n_candidates = len(dag.compute_at_candidates())
-            max_parallel = len(dag.main_stage.spatial_iters)
-            return Schedule(
-                sketch=sketch,
-                tile_sizes=tile_sizes,
-                compute_at_index=min(int(data.get("compute_at_index", 0)), n_candidates - 1),
-                num_parallel=min(int(data.get("num_parallel", 1)), max_parallel),
-                unroll_index=unroll_index,
-                unroll_depths=tuple(depths),
-            )
-        except (KeyError, TypeError, ValueError):
-            return None
-
     # ------------------------------------------------------------------ #
     # maintenance: merge / import / export / compact
     # ------------------------------------------------------------------ #
@@ -1281,24 +1008,20 @@ class ScheduleRegistry:
     def import_file(self, path: Union[str, Path], source: str = "") -> int:
         """Import entries from a JSONL export; returns how many improved.
 
-        Corrupted lines follow the registry's ``strict`` policy.  ``source``
-        overrides the provenance of imported entries when non-empty.
+        Lines are read by the same rule as a shard scan: a corrupted line is
+        skipped and counted in :attr:`skipped_lines`, or raises under
+        ``strict``.  ``source`` overrides the provenance of imported entries
+        when non-empty.
         """
         path = Path(path)
         if not path.exists():
             raise FileNotFoundError(f"registry export {path} does not exist")
         accepted = 0
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = RegistryEntry.from_dict(json.loads(line))
-            except (ValueError, KeyError, TypeError) as exc:
-                if self.strict:
-                    raise ValueError(
-                        f"corrupted registry entry at {path}:{lineno}: {exc}"
-                    ) from exc
+        for _lineno, _offset, _length, entry in read_lines(
+            path.read_bytes(), RegistryEntry.from_dict,
+            strict=self.strict, path=path, what="registry entry",
+        ):
+            if entry is None:
                 with self._mutex:
                     self.skipped_lines += 1
                 continue
@@ -1329,18 +1052,6 @@ class ScheduleRegistry:
         _COMPACT.observe(time.perf_counter() - began)
         return removed
 
-    def _entry_line_locked(self, ie: _IndexEntry) -> bytes:
-        """The verbatim line bytes of one index entry (newline-terminated)."""
-        if ie.path is not None and ie.offset >= 0:
-            raw = self._read_span_locked(ie.path, ie.offset, ie.length)
-            if not raw.endswith(b"\n"):
-                raw += b"\n"
-            return raw
-        entry = self._best.get(ie.key)
-        if entry is None:
-            raise RuntimeError(f"registry index entry {ie.key!r} has no backing line")
-        return (json.dumps(entry.to_dict()) + "\n").encode("utf-8")
-
     def _compact_inner_locked(self) -> int:
         # Caller holds _mutex for the whole rewrite, with the index complete.
         removed = self.total_lines - self.skipped_lines - len(self._index)
@@ -1364,15 +1075,17 @@ class ScheduleRegistry:
             pos = 0
             with tmp.open("wb") as fh:
                 for ie in items:
-                    raw = self._entry_line_locked(ie)
+                    # Every entry of a registry with a root was scanned from
+                    # or appended to a shard: copy its line verbatim.
+                    raw = self._read_span_locked(ie.path, ie.offset, ie.length)
+                    if not raw.endswith(b"\n"):
+                        raw += b"\n"
                     fired = poll_fault(
                         "registry.compact", detail=f"mid_write:shard-{shard:02d}"
                     )
                     if fired is not None:
                         if fired.spec.kind == "torn_write":
-                            fh.write(
-                                fired.torn_prefix(raw.decode("utf-8")).encode("utf-8")
-                            )
+                            fh.write(fired.torn_prefix(raw))
                             fh.flush()
                         fired.crash(f"died rewriting shard {shard} mid-compaction")
                     fh.write(raw)
@@ -1406,9 +1119,9 @@ class ScheduleRegistry:
 
     # ------------------------------------------------------------------ #
     def _close_handles_locked(self) -> None:
-        for handles in (self._handles, self._read_handles):
-            for fh in handles.values():
-                fh.close()
+        for handles in (self._logs, self._read_handles):
+            for handle in handles.values():
+                handle.close()
             handles.clear()
 
     def close(self) -> None:

@@ -100,7 +100,7 @@ class TestOperatorComparison:
             schedulers=("ansor", "harl"), records_dir=tmp_path,
         )
         assert [store.path.name for store in opened_stores] == ["ansor.jsonl", "harl.jsonl"]
-        assert all(store._fh is None for store in opened_stores)
+        assert all(store._log._fh is None for store in opened_stores)
 
 
 class TestNetworkComparison:
@@ -121,4 +121,4 @@ class TestNetworkComparison:
             schedulers=("ansor", "harl"), records_dir=tmp_path,
         )
         assert [store.path.name for store in opened_stores] == ["ansor.jsonl", "harl.jsonl"]
-        assert all(store._fh is None for store in opened_stores)
+        assert all(store._log._fh is None for store in opened_stores)

@@ -50,7 +50,8 @@ def _best_map(root, num_shards):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         registry = ScheduleRegistry(root, num_shards=num_shards)
-    return {e.key: e.latency for e in registry.entries()}
+    with registry:
+        return {e.key: e.latency for e in registry.entries()}
 
 
 @settings(deadline=None, max_examples=30)
@@ -84,6 +85,7 @@ def test_single_fault_recovery_equals_fault_free(fault_index, seed, num_shards):
                 victim.compact()
             except InjectedCrash:
                 pass
+        victim.close()  # the OS closes a dead process's files
 
         # Restart: reload, then retry the whole ingest (append-path faults
         # lose un-acknowledged records; retries are idempotent because the

@@ -33,6 +33,7 @@ class TestEnospcRollback:
         assert excinfo.value.errno == errno.ENOSPC
         assert [m.trial_index for m in store.query(kind="measure")] == [1, 2, 3]
         assert store.flush_failures == 1
+        store.close()
 
         # Disk agrees with memory: the partial line was rolled back.
         on_disk = RecordStore.load(path, strict=True)
@@ -79,6 +80,7 @@ class TestSlowFlush:
         with inject(FaultPlan.single("records.flush", "slow_disk", at=1, seed=0)):
             for i in range(1, 4):
                 store.append_measure(_measure(i))
+        store.close()
         assert store.slow_flushes == 1
         assert store.flush_failures == 0
         assert [m.trial_index for m in store.query(kind="measure")] == [1, 2, 3]
@@ -87,6 +89,7 @@ class TestSlowFlush:
         store = RecordStore(tmp_path / "records.jsonl")
         for i in range(1, 6):
             store.append_measure(_measure(i))
+        store.close()
         assert store.slow_flushes == 0
 
 

@@ -40,6 +40,7 @@ class TestTornAppendRecovery:
             with pytest.raises(InjectedCrash):
                 for entry in entries:
                     registry.record(entry)
+        registry.close()  # the OS closes a dead process's files
         assert plan.fired, "fault never fired — the append hook regressed"
 
         with pytest.warns(UserWarning, match="torn"):
@@ -49,8 +50,8 @@ class TestTornAppendRecovery:
             recovered.record(entry)
         recovered.close()
 
-        final = ScheduleRegistry(root, num_shards=4, strict=True)
-        assert _best_map(final) == {e.key: e.latency for e in entries}
+        with ScheduleRegistry(root, num_shards=4, strict=True) as final:
+            assert _best_map(final) == {e.key: e.latency for e in entries}
 
     def test_crash_without_torn_bytes_also_recovers(self, tmp_path):
         root = tmp_path / "reg"
@@ -60,10 +61,11 @@ class TestTornAppendRecovery:
             with pytest.raises(InjectedCrash):
                 for i in range(5):
                     registry.record(_entry(i, 1.0 + i))
+        registry.close()  # the OS closes a dead process's files
         # No partial bytes were written, so the reload is warning-free.
-        recovered = ScheduleRegistry(root, num_shards=2, strict=True)
-        assert recovered.truncated_tails == 0
-        assert len(recovered.entries()) == 2
+        with ScheduleRegistry(root, num_shards=2, strict=True) as recovered:
+            assert recovered.truncated_tails == 0
+            assert len(recovered.entries()) == 2
 
 
 class TestFailedAppendLeavesNoTrace:
@@ -111,6 +113,7 @@ class TestTornTailOnEveryShard:
 
         with pytest.warns(UserWarning, match="torn"):
             recovered = ScheduleRegistry(root, num_shards=4, strict=strict)
+        recovered.close()
         assert recovered.truncated_tails == torn
         # Every shard ends on a line boundary again.
         for shard in sorted(root.glob("shard-*.jsonl")):
@@ -133,12 +136,12 @@ class TestTornTailOnEveryShard:
         recovered.record(_entry(1, 2.0))  # the retry of the torn append
         recovered.close()
 
-        final = ScheduleRegistry(root, num_shards=1, strict=True)
-        assert final.skipped_lines == 0  # nothing concatenated, nothing garbled
-        assert _best_map(final) == {
-            ("wl-00", "sim-cpu"): 2.0,
-            ("wl-01", "sim-cpu"): 2.0,
-        }
+        with ScheduleRegistry(root, num_shards=1, strict=True) as final:
+            assert final.skipped_lines == 0  # nothing concatenated, nothing garbled
+            assert _best_map(final) == {
+                ("wl-00", "sim-cpu"): 2.0,
+                ("wl-01", "sim-cpu"): 2.0,
+            }
 
     def test_complete_final_line_without_newline_is_kept(self, tmp_path):
         root = tmp_path / "reg"
@@ -156,12 +159,12 @@ class TestTornTailOnEveryShard:
         assert recovered.record(_entry(1, 2.0))
         recovered.close()
 
-        final = ScheduleRegistry(root, num_shards=1, strict=True)
-        assert final.truncated_tails == 0
-        assert _best_map(final) == {
-            ("wl-00", "sim-cpu"): 1.5,
-            ("wl-01", "sim-cpu"): 2.0,
-        }
+        with ScheduleRegistry(root, num_shards=1, strict=True) as final:
+            assert final.truncated_tails == 0
+            assert _best_map(final) == {
+                ("wl-00", "sim-cpu"): 1.5,
+                ("wl-01", "sim-cpu"): 2.0,
+            }
 
 
 class TestCompactionCrashSafety:
@@ -190,6 +193,7 @@ class TestCompactionCrashSafety:
         with inject(plan):
             with pytest.raises(InjectedCrash):
                 victim.compact()
+        victim.close()  # the OS closes a dead process's files
         assert plan.fired
 
         recovered = ScheduleRegistry(root, num_shards=2)
@@ -197,7 +201,8 @@ class TestCompactionCrashSafety:
         assert not list(root.glob("*.tmp"))
         recovered.compact()
         recovered.close()
-        assert _best_map(ScheduleRegistry(root, num_shards=2, strict=True)) == expected
+        with ScheduleRegistry(root, num_shards=2, strict=True) as final:
+            assert _best_map(final) == expected
 
     def test_orphan_tmp_cleanup_is_counted(self, tmp_path):
         root = tmp_path / "reg"
@@ -208,11 +213,12 @@ class TestCompactionCrashSafety:
         with inject(plan):
             with pytest.raises(InjectedCrash):
                 victim.compact()
+        victim.close()  # the OS closes a dead process's files
         assert list(root.glob("shard-*.jsonl.tmp")), "crash left no orphan to clean"
 
-        recovered = ScheduleRegistry(root, num_shards=2)
-        assert recovered.removed_orphans >= 1
-        assert recovered.stats()["removed_orphans"] >= 1
+        with ScheduleRegistry(root, num_shards=2) as recovered:
+            assert recovered.removed_orphans >= 1
+            assert recovered.stats()["removed_orphans"] >= 1
 
     def test_compact_twice_is_idempotent(self, tmp_path):
         root = tmp_path / "reg"

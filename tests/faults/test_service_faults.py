@@ -204,6 +204,8 @@ class TestCrashBetweenAdvanceAndFinish:
         )
         assert hit.source == SOURCE_REGISTRY
         assert hit.result.trials_used == 0
+        registry.close()
+        store.close()
 
     def test_recovery_is_idempotent(self, tmp_path, tiny_config):
         registry_root, records_path, _ = self._crashed_state(tmp_path, tiny_config)
@@ -216,6 +218,8 @@ class TestCrashBetweenAdvanceAndFinish:
         before = {e.key: e.latency for e in registry.entries()}
         assert revived.recover_from_records() == 0  # nothing improves twice
         assert {e.key: e.latency for e in registry.entries()} == before
+        registry.close()
+        store.close()
 
     def test_recover_without_store_is_a_noop(self, tiny_config):
         service = TuningService(registry=ScheduleRegistry(), config=tiny_config)

@@ -10,8 +10,9 @@ import pytest
 from repro.core.scheduler import HARLScheduler
 from repro.hardware.catalog import default_catalog
 from repro.serving.fingerprint import structural_fingerprint, workload_embedding
-from repro.serving.registry import RegistryEntry, ScheduleRegistry, _fit_tile_sizes
+from repro.serving.registry import RegistryEntry, ScheduleRegistry
 from repro.serving.service import TuningRequest, TuningService
+from repro.serving.transfer import fit_tile_sizes
 from repro.tensor.factors import product
 from repro.tensor.workloads import conv2d, gemm
 
@@ -56,6 +57,7 @@ class TestRoundTrip:
         twin = gemm(128, 128, 128, name="twin")
         schedules = reloaded.warm_start_schedules(twin, cpu)
         assert schedules and schedules[0].dag.name == "twin"
+        reloaded.close()
 
     def test_only_improvements_are_kept(self, cpu, gemm_dag, registry_root):
         registry = ScheduleRegistry(registry_root)
@@ -64,6 +66,7 @@ class TestRoundTrip:
         assert registry.record(_entry(gemm_dag, cpu, latency=1.0))
         assert registry.lookup(gemm_dag, cpu, k=0).entry.latency == 1.0
         assert len(registry) == 1
+        registry.close()
 
     def test_targets_are_separate_keys(self, cpu, gpu, gemm_dag):
         registry = ScheduleRegistry()
@@ -196,9 +199,9 @@ class TestConcurrentWriters:
                 key = (entry["fingerprint"], entry["target"])
                 assert entry["latency"] < seen_best.get(key, float("inf"))
                 seen_best[key] = entry["latency"]
-        reloaded = ScheduleRegistry(registry_root, num_shards=4)
-        assert {e.key: e.latency for e in reloaded.entries()} == in_memory
-        assert reloaded.skipped_lines == 0
+        with ScheduleRegistry(registry_root, num_shards=4) as reloaded:
+            assert {e.key: e.latency for e in reloaded.entries()} == in_memory
+            assert reloaded.skipped_lines == 0
 
 
 class TestCorruptionAndCompaction:
@@ -215,10 +218,10 @@ class TestCorruptionAndCompaction:
 
     def test_corrupted_lines_skipped(self, registry_root, cpu, gemm_dag):
         self._write_garbage(registry_root, cpu, gemm_dag)
-        registry = ScheduleRegistry(registry_root, num_shards=1)
-        assert len(registry) == 1
-        assert registry.skipped_lines == 2
-        assert registry.lookup(gemm_dag, cpu, k=0).entry.latency == 1.0
+        with ScheduleRegistry(registry_root, num_shards=1) as registry:
+            assert len(registry) == 1
+            assert registry.skipped_lines == 2
+            assert registry.lookup(gemm_dag, cpu, k=0).entry.latency == 1.0
 
     def test_strict_mode_raises(self, registry_root, cpu, gemm_dag):
         self._write_garbage(registry_root, cpu, gemm_dag)
@@ -231,10 +234,10 @@ class TestCorruptionAndCompaction:
         removed = registry.compact()
         assert removed == 1  # the superseded latency=2.0 line
         assert shard.read_text().count("\n") == 1  # only the best entry remains
-        reloaded = ScheduleRegistry(registry_root, num_shards=1)
-        assert len(reloaded) == 1
-        assert reloaded.skipped_lines == 0
-        assert reloaded.lookup(gemm_dag, cpu, k=0).entry.latency == 1.0
+        with ScheduleRegistry(registry_root, num_shards=1) as reloaded:
+            assert len(reloaded) == 1
+            assert reloaded.skipped_lines == 0
+            assert reloaded.lookup(gemm_dag, cpu, k=0).entry.latency == 1.0
 
     def test_stats(self, registry_root, cpu, gemm_dag):
         self._write_garbage(registry_root, cpu, gemm_dag)
@@ -345,11 +348,11 @@ class TestForeignWidthEmbedding:
 class TestTileFitting:
     @pytest.mark.parametrize("extent,levels", [(96, 4), (7, 2), (128, 4), (60, 3), (1, 3)])
     def test_fit_preserves_product(self, extent, levels):
-        fitted = _fit_tile_sizes(extent, levels, [4, 2, 8, 2])
+        fitted = fit_tile_sizes(extent, levels, [4, 2, 8, 2])
         assert len(fitted) == levels
         assert product(fitted) == extent
 
     def test_fit_follows_reference_shape(self):
         # Reference concentrates size on the innermost slot; the fit should too.
-        fitted = _fit_tile_sizes(64, 3, [1, 1, 64])
+        fitted = fit_tile_sizes(64, 3, [1, 1, 64])
         assert fitted == [1, 1, 64]

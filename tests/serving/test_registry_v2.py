@@ -78,6 +78,7 @@ class TestLazyLoading:
         assert lazy.indexed_shards == 0
         assert lazy.lookup("fp-003", "sim-cpu", k=0).entry is not None
         assert lazy.indexed_shards == 1
+        lazy.close()
 
     def test_similarity_tier_indexes_everything(self, tmp_path):
         registry = ScheduleRegistry(tmp_path, num_shards=4)
@@ -89,6 +90,7 @@ class TestLazyLoading:
         result = lazy.lookup(gemm(64, 64, 64), "sim-cpu", k=3)
         assert len(result.neighbors) == 3
         assert lazy.indexed_shards == len(list(tmp_path.glob("shard-*.jsonl")))
+        lazy.close()
 
     def test_line_appended_by_another_writer_is_read_on_reopen(self, tmp_path):
         registry = ScheduleRegistry(tmp_path, num_shards=1)
@@ -102,6 +104,7 @@ class TestLazyLoading:
 
         reloaded = ScheduleRegistry(tmp_path, num_shards=1)
         assert reloaded.lookup("fp-000", "sim-cpu", k=0).entry.latency == 0.5
+        reloaded.close()
 
     def test_v1_layout_reads_transparently(self, tmp_path):
         # A pre-manifest directory: raw JSONL shards only.
@@ -114,6 +117,7 @@ class TestLazyLoading:
         v1 = ScheduleRegistry(tmp_path, num_shards=2)
         assert v1.lookup("fp-004", "sim-cpu", k=0).entry is not None
         assert {e.key: e.latency for e in v1.entries()} == _oracle(tmp_path)
+        v1.close()
 
     def test_one_read_handle_per_shard_file(self, tmp_path):
         registry = ScheduleRegistry(tmp_path, num_shards=8)
@@ -169,6 +173,7 @@ class TestLookupResult:
         neighbour_hit = registry.lookup(dag, "sim-cpu", k=1)
         assert neighbour_hit.source == "neighbor" and bool(neighbour_hit)
         assert neighbour_hit.best is neighbour_hit.neighbors[0][1]
+        registry.close()
 
 
 class TestPropertyLazyEqualsEager:
@@ -197,6 +202,7 @@ class TestPropertyLazyEqualsEager:
                 with inject(plan):
                     with pytest.raises(InjectedCrash):
                         registry.record(_entry(100 + step, latency, target))
+                registry.close()  # the OS closes a dead process's files
                 registry = _quiet(root)  # crash: reload from surviving files
             else:
                 kind, match = (
@@ -211,6 +217,7 @@ class TestPropertyLazyEqualsEager:
                     try:
                         registry.compact()
                     except InjectedCrash:
+                        registry.close()  # the OS closes a dead process's files
                         registry = _quiet(root)
         registry.close()
 

@@ -471,9 +471,10 @@ class TestRecoverThenTransfer:
         # "Crash": the registry dies with the process; only the record log
         # survives.
 
+        revived_store = RecordStore.load(log)
         revived = TuningService(
             registry=ScheduleRegistry(), config=tiny_config, seed=0,
-            record_store=RecordStore.load(log),
+            record_store=revived_store,
         )
         assert revived.recover_from_records() == 1
 
@@ -495,5 +496,6 @@ class TestRecoverThenTransfer:
         handle = revived.process(
             [TuningRequest(dag=similar, n_trials=8)]
         )[0]
+        revived_store.close()
         donors = handle.result.extras.get("warm_start_donors", [])
         assert any("gemm_m64k64n64" in donor for donor in donors)

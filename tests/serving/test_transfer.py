@@ -13,6 +13,7 @@ from repro.hardware.catalog import default_catalog
 from repro.hardware.target import cpu_target
 from repro.serving.registry import ScheduleRegistry
 from repro.serving.service import TuningRequest, TuningService
+from repro.serving.transfer import adapt_schedule_to_target
 from repro.tensor.workloads import conv1d, conv2d, gemm
 
 
@@ -64,7 +65,7 @@ class TestCrossTargetCandidates:
 
 
 class TestScheduleAdaptation:
-    """_adapt_schedule_to_target re-fits donor schedules to the destination."""
+    """adapt_schedule_to_target re-fits donor schedules to the destination."""
 
     @pytest.fixture
     def donor_entry(self, catalog, tiny_config):
@@ -76,7 +77,7 @@ class TestScheduleAdaptation:
     def test_cpu_to_cpu_respects_destination_vector_width(self, donor_entry, catalog):
         registry, entry = donor_entry
         dest = catalog.get("epyc-7543")  # AVX2: vector width 8, not 16
-        adapted = registry._adapt_schedule_to_target(entry.schedule, gemm(64, 64, 64), dest)
+        adapted = adapt_schedule_to_target(entry.schedule, gemm(64, 64, 64), dest)
         assert adapted is not None
         inner = adapted.spatial_tile_sizes()[-1][-1]
         assert inner % dest.vector_width == 0
@@ -85,7 +86,7 @@ class TestScheduleAdaptation:
     def test_cpu_to_gpu_regenerates_at_destination_depths(self, donor_entry, catalog):
         registry, entry = donor_entry
         dest = catalog.get("rtx-3090")
-        adapted = registry._adapt_schedule_to_target(entry.schedule, gemm(64, 64, 64), dest)
+        adapted = adapt_schedule_to_target(entry.schedule, gemm(64, 64, 64), dest)
         assert adapted is not None
         # GPU tiling structure: 5 spatial / 3 reduction levels.
         assert all(len(s) == 5 for s in adapted.spatial_tile_sizes())
@@ -96,7 +97,7 @@ class TestScheduleAdaptation:
         registry, entry = donor_entry
         dest = catalog.derive("rpi4-a72", name="rpi4-tiny-l1", register=False,
                               l1_bytes=512.0)
-        adapted = registry._adapt_schedule_to_target(entry.schedule, gemm(64, 64, 64), dest)
+        adapted = adapt_schedule_to_target(entry.schedule, gemm(64, 64, 64), dest)
         assert adapted is not None
         # The re-fit shrinks the register tile toward the tiny L1; it can
         # never go below one vector per spatial axis.
@@ -111,7 +112,7 @@ class TestScheduleAdaptation:
         registry, entry = donor_entry
         dest = catalog.derive("epyc-7543", name="epyc-tiny-l1", register=False,
                               l1_bytes=128.0)
-        adapted = registry._adapt_schedule_to_target(entry.schedule, gemm(96, 96, 96), dest)
+        adapted = adapt_schedule_to_target(entry.schedule, gemm(96, 96, 96), dest)
         assert adapted is not None
         inner = adapted.spatial_tile_sizes()[-1][-1]
         assert inner >= 1
@@ -121,8 +122,7 @@ class TestScheduleAdaptation:
         assert inner % dest.vector_width == 0 or inner < dest.vector_width
 
     def test_malformed_donor_schedule_returns_none(self, catalog):
-        registry = ScheduleRegistry()
-        assert registry._adapt_schedule_to_target(
+        assert adapt_schedule_to_target(
             {"sketch_key": "no-such-rule"}, gemm(64, 64, 64), catalog.get("epyc-7543")
         ) is None
 
@@ -217,6 +217,7 @@ class TestCrossTargetAcceptance:
         assert entry.donor_target == "xeon-6226r"
         # Legacy entries without the field load as cold provenance.
         donor_entry = reloaded.lookup(gemm(64, 64, 64), donor_target, k=0).entry
+        reloaded.close()
         assert donor_entry.donor_target == ""
 
     def test_second_device_of_family_skips_tuning_entirely_on_rehit(
